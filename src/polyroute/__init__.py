@@ -32,6 +32,7 @@ from .embedding import (
     LandmarkSet,
     build_alt_embedding,
     build_distributed_embedding,
+    check_embedding_fits,
     load_embedding,
     save_embedding,
     select_avoid,
@@ -79,7 +80,7 @@ __all__ = [
     "multi_source_spt", "shortest_path_tree", "track_kernels", "truncated_spt",
     "AltEmbedding", "DistributedEmbedding", "LandmarkSet",
     "build_alt_embedding", "build_distributed_embedding",
-    "load_embedding", "save_embedding",
+    "check_embedding_fits", "load_embedding", "save_embedding",
     "select_avoid", "select_farthest", "select_random", "space_accounting",
     "MODES", "SCENARIOS", "HeuristicEval", "OpCounters",
     "alp_components", "alp_dual_h", "alt_h", "classify_scenario",

@@ -34,6 +34,7 @@ from .embedding import (
     DistributedEmbedding,
     build_alt_embedding,
     build_distributed_embedding,
+    check_embedding_fits,
     load_embedding,
     save_embedding,
     select_avoid,
@@ -217,6 +218,7 @@ def _load_or_build_embedding(g: Graph, args):
             raise ValueError(
                 f"embedding in {args.embedding} does not match method {args.method}"
             )
+        check_embedding_fits(g, e)
         return e
     L = _select_landmarks(g, args)
     if args.method == "alt":

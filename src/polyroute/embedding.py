@@ -238,6 +238,17 @@ def build_distributed_embedding(g: Graph, L: LandmarkSet) -> DistributedEmbeddin
 Embedding = Union[AltEmbedding, DistributedEmbedding]
 
 
+def check_embedding_fits(g: Graph, e: Embedding) -> None:
+    """Raise ValueError unless e covers g's vertices and names landmarks
+    inside g; a loaded file may have been built for another graph."""
+    nv = len(e.table[0]) if isinstance(e, AltEmbedding) else len(e.owner)
+    if nv != g.vertex_count:
+        raise ValueError(
+            f"embedding covers {nv} vertices but the graph has {g.vertex_count}"
+        )
+    _check_landmarks(g, e.landmarks)
+
+
 def space_accounting(e: Embedding) -> tuple:
     """(stored distance entries, closed-form prediction); must agree.
 
@@ -258,7 +269,7 @@ def _num_list(values) -> list:
     """float64 payload back to ints where the value is integral."""
     out = []
     for x in values:
-        out.append(int(x) if x == int(x) else x)
+        out.append(int(x) if x.is_integer() else x)
     return out
 
 

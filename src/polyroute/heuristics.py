@@ -37,12 +37,18 @@ is free. Two counting modes:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from math import isfinite
+from operator import sub
+from struct import pack
 from typing import Callable
 
 from .embedding import AltEmbedding, DistributedEmbedding
 
 MODES = ("literal", "optimized")
+
+_EXACT_INT = 2**53  # ints below this magnitude convert to doubles exactly
 
 SCENARIOS = ("S1", "S2", "S3", "S4", "S5")
 """Joint configuration of v's owner l1, t's owner l2, and the landmark
@@ -202,11 +208,44 @@ def zero_evaluator(v: int, t: int) -> tuple:
     return 0, 0, 0, 0, 0
 
 
+def _packed_columns(table: list) -> "list | None":
+    """Per-vertex columns of packed doubles, or None to keep tuples.
+
+    Doubles are used only where they cannot change a value. All-int
+    tables keep tuples, because small cached ints subtract faster boxed.
+    So do tables with a non-finite entry, since |inf - inf| is nan,
+    which the tuple loop skips but max() keeps when it comes first, and
+    tables with an entry of 2**53 or more in magnitude, which a double
+    may not hold exactly.
+    """
+    total = sum(map(sum, table))  # an int unless some entry is a float
+    if type(total) is not float or not isfinite(total):
+        return None
+    nv = len(table[0])
+    flat = array("d")
+    for row in table:
+        flat.frombytes(pack(f"{nv}d", *row))
+    if not -_EXACT_INT < min(flat) <= max(flat) < _EXACT_INT:
+        return None
+    return [flat[v::nv] for v in range(nv)]
+
+
 def make_alt_evaluator(e: AltEmbedding) -> Evaluator:
-    """Closure form of alt_h for the search inner loop."""
-    nv = len(e.table[0])
-    cols = [tuple(row[v] for row in e.table) for v in range(nv)]
+    """Closure form of alt_h for the search inner loop.
+
+    Float tables are reduced by one C-level max over packed doubles;
+    integer tables by a Python loop over tuples. Both give alt_h's value.
+    """
     k = len(e.table)
+    packed = _packed_columns(e.table)
+    if packed is not None:
+
+        def h_packed(v: int, t: int) -> tuple:
+            return max(map(abs, map(sub, packed[v], packed[t]))), k, 0, 0, k
+
+        return h_packed
+
+    cols = list(zip(*e.table))
 
     def h(v: int, t: int) -> tuple:
         best = 0
@@ -233,10 +272,10 @@ def make_alp_evaluator(
     """
     same_c = _alp_counters(True, mode, ptolemy_enabled)
     cross_c = _alp_counters(False, mode, ptolemy_enabled)
-    same_ops = (same_c.subtractions, same_c.multiplications,
-                same_c.divisions, same_c.max_arity)
-    cross_ops = (cross_c.subtractions, cross_c.multiplications,
-                 cross_c.divisions, cross_c.max_arity)
+    s_sub, s_mul, s_div, s_ar = (same_c.subtractions, same_c.multiplications,
+                                 same_c.divisions, same_c.max_arity)
+    c_sub, c_mul, c_div, c_ar = (cross_c.subtractions, cross_c.multiplications,
+                                 cross_c.divisions, cross_c.max_arity)
     owner = e.owner
     dto = e.dist_to_owner
     lmatrix = e.lmatrix
@@ -251,7 +290,7 @@ def make_alp_evaluator(
             d = a - b
             if d < 0:
                 d = -d
-            return (d, *same_ops)
+            return d, s_sub, s_mul, s_div, s_ar
         D = lmatrix[l1][l2]
         x = a - D
         if x < 0:
@@ -275,6 +314,6 @@ def make_alp_evaluator(
                 best = c6
         if best < 0:
             best = 0
-        return (best, *cross_ops)
+        return best, c_sub, c_mul, c_div, c_ar
 
     return h

@@ -93,6 +93,25 @@ class TestPreprocess:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("method", ["alt", "alp"])
+    def test_embedding_from_another_graph(self, tmp_path, capsys, method):
+        small = tmp_path / "small.gr"
+        large = tmp_path / "large.gr"
+        emb = tmp_path / "small.lemb"
+        run(capsys, "gen", "--random", "20,10", "--out", str(small))
+        run(capsys, "gen", "--random", "60,30", "--out", str(large))
+        code, _, _ = run(capsys, "preprocess", "--graph", str(small),
+                         "--method", method, "--landmarks", "3",
+                         "--out", str(emb))
+        assert code == 0
+        code, out, err = run(capsys, "query", "--graph", str(large),
+                             "--method", method, "--embedding", str(emb),
+                             "--source", "30", "--target", "50")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert "error: embedding covers 20 vertices but the graph has 60" in err
+
 
 class TestQuery:
     def test_dual_landmark_route(self, p6_file, capsys):

@@ -6,11 +6,13 @@ import random
 import pytest
 
 from polyroute import (
+    AltEmbedding,
     LandmarkSet,
     all_pairs_oracle,
     build_alt_embedding,
     build_distributed_embedding,
     build_graph,
+    check_embedding_fits,
     generate_grid,
     generate_random_connected,
     load_embedding,
@@ -243,6 +245,15 @@ class TestSerialization:
         r = self._round_trip(e)
         assert r.dist_to_owner == [0, 0.5, 2.75]
 
+    def test_disconnected_alt_round_trip(self):
+        g = build_graph(5, [(0, 1, 1), (1, 2, 0.5), (3, 4, 2)])
+        e = build_alt_embedding(g, LandmarkSet((0, 3)))
+        assert e.table[0][3] == float("inf")
+        r = self._round_trip(e)
+        assert r == e
+        assert r.table == [[0, 1, 1.5, float("inf"), float("inf")],
+                           [float("inf"), float("inf"), float("inf"), 0, 2]]
+
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
             load_embedding(io.BytesIO(b"XXXX" + b"\0" * 20))
@@ -261,6 +272,26 @@ class TestSerialization:
         save_embedding(e, a)
         save_embedding(e, b)
         assert a.getvalue() == b.getvalue()
+
+
+class TestEmbeddingFits:
+    def test_own_graph_fits(self, grid3):
+        check_embedding_fits(grid3, build_alt_embedding(grid3, LandmarkSet((0, 8))))
+        check_embedding_fits(
+            grid3, build_distributed_embedding(grid3, LandmarkSet((0, 8)))
+        )
+
+    @pytest.mark.parametrize("build", [build_alt_embedding, build_distributed_embedding])
+    def test_vertex_count_mismatch(self, p6, grid3, build):
+        e = build(grid3, LandmarkSet((0, 8)))
+        with pytest.raises(ValueError, match="9 vertices but the graph has 6"):
+            check_embedding_fits(p6, e)
+
+    def test_landmark_outside_graph(self, p6):
+        # Six columns, as for p6, but landmark 8 is no vertex of p6.
+        e = AltEmbedding(LandmarkSet((8,)), [[8, 7, 6, 5, 4, 3]], [[0]])
+        with pytest.raises(ValueError, match="landmark 8 out of range"):
+            check_embedding_fits(p6, e)
 
 
 class TestAgainstNaiveOracle:

@@ -1,21 +1,31 @@
 """Heuristic values, candidate bounds, counters, scenario labels."""
 
+import io
+import random
+
 import pytest
 
 from polyroute import (
+    AltEmbedding,
     LandmarkSet,
     all_pairs_oracle,
     alp_components,
     alp_dual_h,
     alt_h,
+    astar,
     build_alt_embedding,
     build_distributed_embedding,
+    build_graph,
     classify_scenario,
     generate_random_connected,
+    load_embedding,
     make_alp_evaluator,
     make_alt_evaluator,
+    save_embedding,
+    select_farthest,
     select_random,
 )
+from polyroute.heuristics import _packed_columns
 
 import oracles
 
@@ -195,6 +205,108 @@ class TestEvaluators:
                         c.subtractions, c.multiplications,
                         c.divisions, c.max_arity,
                     )
+
+
+def weighted_grid(side: int, weight):
+    """side x side 4-neighbour lattice, edge weights drawn by weight(rng)."""
+    rng = random.Random(side)
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            if c + 1 < side:
+                edges.append((v, v + 1, weight(rng)))
+            if r + 1 < side:
+                edges.append((v, v + side, weight(rng)))
+    return build_graph(side * side, edges)
+
+
+def round_trip(e):
+    buf = io.BytesIO()
+    save_embedding(e, buf)
+    buf.seek(0)
+    return load_embedding(buf)
+
+
+def eighths(rng):
+    return rng.randrange(1, 80) / 8
+
+
+def tenths(rng):
+    return rng.randrange(1, 100) / 10
+
+
+def assert_matches_alt_h(e):
+    h = make_alt_evaluator(e)
+    nv = len(e.table[0])
+    k = len(e.table)
+    for v in range(nv):
+        for t in range(nv):
+            value, *ops = h(v, t)
+            assert value == alt_h(e, v, t).value, (v, t)
+            assert ops == [k, 0, 0, k]
+
+
+class TestAltEvaluatorStorage:
+    """Packed doubles and tuples must give alt_h's value on every pair."""
+
+    def test_integer_table_keeps_tuples(self):
+        g = weighted_grid(7, lambda rng: rng.randint(1, 9))
+        e = build_alt_embedding(g, select_farthest(g, 5, seed=1))
+        assert _packed_columns(e.table) is None
+        assert_matches_alt_h(e)
+
+    def test_eighths_after_round_trip(self):
+        g = weighted_grid(7, eighths)
+        e = round_trip(build_alt_embedding(g, select_farthest(g, 6, seed=2)))
+        kinds = {type(x) for row in e.table for x in row}
+        assert kinds == {int, float}
+        assert _packed_columns(e.table) is not None
+        assert_matches_alt_h(e)
+
+    def test_decimal_tenths(self):
+        g = weighted_grid(7, tenths)
+        e = build_alt_embedding(g, select_farthest(g, 6, seed=3))
+        assert _packed_columns(e.table) is not None
+        assert_matches_alt_h(e)
+
+    def test_two_components(self):
+        # The first landmark sits in the other component from 4..7, so
+        # pairs there meet |inf - inf| = nan before any finite term.
+        edges = [(0, 1, 0.5), (1, 2, 1.25), (2, 3, 0.75),
+                 (4, 5, 1.5), (5, 6, 0.25), (6, 7, 2.0), (4, 7, 4.5)]
+        g = build_graph(8, edges)
+        e = build_alt_embedding(g, LandmarkSet((0, 6, 3)))
+        assert _packed_columns(e.table) is None
+        assert_matches_alt_h(e)
+        h = make_alt_evaluator(e)
+        assert h(4, 7)[0] == 0.25
+        assert h(1, 5)[0] == float("inf")
+
+    def test_int_beyond_double_precision(self):
+        big = 2**53 + 1  # float(big) == 2**53
+        table = [[0, big, 0.5], [big, 0, 1.5]]
+        e = AltEmbedding(LandmarkSet((0, 1)), table, [[0, big], [big, 0]])
+        assert _packed_columns(e.table) is None
+        assert make_alt_evaluator(e)(1, 0)[0] == big
+        assert_matches_alt_h(e)
+
+    def test_astar_identical_on_float_grid(self):
+        g = weighted_grid(12, eighths)
+        e = round_trip(build_alt_embedding(g, select_farthest(g, 8, seed=4)))
+        k = len(e.table)
+
+        def reference(v, t):
+            return alt_h(e, v, t).value, k, 0, 0, k
+
+        h = make_alt_evaluator(e)
+        rng = random.Random(5)
+        for _ in range(40):
+            s, t = rng.sample(range(g.vertex_count), 2)
+            got = astar(g, s, t, h, trace=True)
+            want = astar(g, s, t, reference, trace=True)
+            assert got == want
+            assert got.settle_order == want.settle_order
 
 
 class TestClassifyScenario:
