@@ -27,8 +27,13 @@ from .embedding import (
     build_distributed_embedding,
 )
 from .graph import Graph
-from .heuristics import make_alp_evaluator, make_alt_evaluator
-from .search import QueryResult, astar, dijkstra_query
+from .heuristics import (
+    SCENARIOS,
+    classify_scenario,
+    make_alp_evaluator,
+    make_alt_evaluator,
+)
+from .search import QueryResult, astar
 from .sssp import shortest_path_tree
 
 METHODS = ("dijkstra", "alt", "alp")
@@ -147,37 +152,6 @@ def _stratified_queries(g: Graph, spec: WorkloadSpec, rng) -> list:
     return out
 
 
-def _make_classifier(alt_table: list, owner: list):
-    """Scenario index 0..4 per evaluation, matching classify_scenario."""
-    nv = len(alt_table[0])
-    cols = [tuple(row[v] for row in alt_table) for v in range(nv)]
-    k = len(alt_table)
-
-    def classify(v: int, t: int) -> int:
-        cv = cols[v]
-        ct = cols[t]
-        la = 0
-        best = -1
-        for i in range(k):
-            c = cv[i] - ct[i]
-            if c < 0:
-                c = -c
-            if c > best:
-                best = c
-                la = i
-        l1 = owner[v]
-        l2 = owner[t]
-        if l1 == l2:
-            return 2 if la == l1 else 3
-        if la == l1:
-            return 0
-        if la == l2:
-            return 1
-        return 4
-
-    return classify
-
-
 def run_workload(
     g: Graph,
     L: LandmarkSet,
@@ -193,7 +167,8 @@ def run_workload(
     All requested methods must agree on every distance; disagreement
     raises BenchError. Scenario classification for alp rows builds the
     full embedding too; that cost is bench instrumentation, not part of
-    the distributed method's preprocessing.
+    the distributed method's preprocessing, and it runs outside the
+    timed search.
     """
     chosen = tuple(methods)
     if not chosen:
@@ -205,28 +180,30 @@ def run_workload(
         raise ValueError(f"duplicate methods in {chosen}")
     need_alt = "alt" in chosen or "alp" in chosen
     alt_e = build_alt_embedding(g, L) if need_alt else None
-    alt_eval = make_alt_evaluator(alt_e) if "alt" in chosen else None
-    alp_eval = None
-    classify = None
+    evaluators = {"dijkstra": None}
+    if "alt" in chosen:
+        evaluators["alt"] = make_alt_evaluator(alt_e)
     if "alp" in chosen:
         alp_e = build_distributed_embedding(g, L)
-        alp_eval = make_alp_evaluator(alp_e, mode=mode, ptolemy_enabled=ptolemy_enabled)
-        classify = _make_classifier(alt_e.table, alp_e.owner)
+        evaluators["alp"] = make_alp_evaluator(
+            alp_e, mode=mode, ptolemy_enabled=ptolemy_enabled
+        )
     rows = []
     for s, t in queries:
         agreed = None
         for m in chosen:
+            h = evaluators[m]
             hist = [0, 0, 0, 0, 0]
-            if m == "dijkstra":
-                res, wall = _timed(dijkstra_query, timing, g, s, t)
-            elif m == "alt":
-                res, wall = _timed(astar, timing, g, s, t, alt_eval)
-            else:
-                def counted(v, tt, _h=alp_eval, _c=classify, _hist=hist):
-                    _hist[_c(v, tt)] += 1
-                    return _h(v, tt)
-
-                res, wall = _timed(astar, timing, g, s, t, counted)
+            wall = 0
+            if m == "alp":
+                # Classify in an untimed run; the search is deterministic,
+                # so a timed rerun with the plain evaluator gives the same row.
+                res = astar(g, s, t, _tallying(h, alt_e, alp_e, hist))
+            if m != "alp" or timing:
+                t0 = time.perf_counter_ns()
+                res = astar(g, s, t, h)
+                if timing:
+                    wall = time.perf_counter_ns() - t0
             if agreed is None:
                 agreed = res.distance
             elif res.distance != agreed:
@@ -238,12 +215,14 @@ def run_workload(
     return rows
 
 
-def _timed(fn, timing: bool, *args) -> tuple:
-    if not timing:
-        return fn(*args), 0
-    t0 = time.perf_counter_ns()
-    res = fn(*args)
-    return res, time.perf_counter_ns() - t0
+def _tallying(h, alt_e, alp_e, hist: list):
+    """h, counting each evaluation's scenario into hist (S1..S5)."""
+
+    def counted(v: int, t: int) -> tuple:
+        hist[SCENARIOS.index(classify_scenario(alt_e, alp_e, v, t))] += 1
+        return h(v, t)
+
+    return counted
 
 
 def _to_row(method: str, res: QueryResult, hist: list, wall: int) -> BenchRow:

@@ -53,7 +53,7 @@ from .graph import (
     save_edge_list,
 )
 from .heuristics import MODES, make_alp_evaluator, make_alt_evaluator
-from .search import astar, dijkstra_query
+from .search import astar
 from .seeding import derive_seed
 
 _SELECTORS = {
@@ -229,14 +229,13 @@ def _load_or_build_embedding(g: Graph, args):
 def _cmd_query(args) -> int:
     g = load_graph_file(args.graph)
     if args.method == "dijkstra":
-        res = dijkstra_query(g, args.source, args.target)
+        h = None
+    elif args.method == "alt":
+        h = make_alt_evaluator(_load_or_build_embedding(g, args))
     else:
         e = _load_or_build_embedding(g, args)
-        if args.method == "alt":
-            h = make_alt_evaluator(e)
-        else:
-            h = make_alp_evaluator(e, mode=args.mode, ptolemy_enabled=args.ptolemy)
-        res = astar(g, args.source, args.target, h)
+        h = make_alp_evaluator(e, mode=args.mode, ptolemy_enabled=args.ptolemy)
+    res = astar(g, args.source, args.target, h)
     print(f"distance: {res.distance}")
     print("path:", " ".join(str(v) for v in res.path))
     print(

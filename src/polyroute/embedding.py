@@ -228,7 +228,11 @@ def build_distributed_embedding(g: Graph, L: LandmarkSet) -> DistributedEmbeddin
     # Tie ranks = landmark positions: equal-distance ownership ties go
     # to the smaller landmark index even when ids are not id-sorted.
     dm = multi_source_spt(g, L.ids, tie_ranks=range(len(L.ids)))
-    owner = [index_of[ov] if ov != -1 else -1 for ov in dm.owner]
+    if -1 in dm.owner:
+        raise ValueError(
+            f"vertex {dm.owner.index(-1)} is not reached by any landmark"
+        )
+    owner = [index_of[ov] for ov in dm.owner]
     lmatrix = landmark_matrix(g, L.ids)
     return DistributedEmbedding(
         landmarks=L, owner=owner, dist_to_owner=dm.dist, lmatrix=lmatrix
@@ -326,6 +330,12 @@ def load_embedding(stream: BinaryIO) -> Embedding:
         return AltEmbedding(landmarks=L, table=table, lmatrix=lmatrix)
     if kind == _KIND_DISTRIBUTED:
         owner = list(struct.unpack(f"<{nv}Q", _read_exact(stream, 8 * nv)))
+        top = max(owner, default=0)
+        if top >= k:
+            raise ValueError(
+                f"vertex {owner.index(top)} has owner index {top}, "
+                f"but there are only {k} landmarks"
+            )
         dist = _num_list(struct.unpack(f"<{nv}d", _read_exact(stream, 8 * nv)))
         lmatrix = _read_matrix(stream, k)
         return DistributedEmbedding(

@@ -1,15 +1,17 @@
-"""Point-to-point search: guided A* with reopening, and plain Dijkstra.
+"""Point-to-point search: one A* loop with reopening; Dijkstra is h=None.
 
 The dual-landmark heuristic is admissible but not consistent, so a
-settled vertex can later receive a better tentative distance. The A*
-here reinserts such vertices (reopening), which keeps returned
-distances exact for any admissible heuristic; the extra settle events
-are reported so the cost is visible.
+settled vertex can later receive a better tentative distance. The search
+reinserts such vertices (reopening), which keeps returned distances
+exact for any admissible heuristic; the extra settle events are reported
+so the cost is visible.
 
-Both searches share the exact tie-breaking rule: heap entries compare
-by (f, -g, vertex id), so equal-f ties prefer the larger g and then the
-smaller id. With h = 0 the guided search therefore settles the same
-vertices in the same order as the plain one.
+Without a heuristic (h=None) the same loop is plain Dijkstra: no
+evaluation at the source or per push, and the heap key is g alone.
+
+Heap entries compare by (f, -g, vertex id), so equal-f ties prefer the
+larger g and then the smaller id. With an evaluator that returns 0 the
+search therefore settles the same vertices in the same order as h=None.
 
 Heuristic values are recomputed on every push, never cached, so the
 reported operation totals reflect what the heuristic actually costs
@@ -50,14 +52,6 @@ class QueryResult:
     settle_order: "list | None" = field(default=None, repr=False)
 
 
-def _check_endpoints(g: Graph, source: int, target: int) -> None:
-    n = g.vertex_count
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range [0,{n})")
-    if not (0 <= target < n):
-        raise ValueError(f"target {target} out of range [0,{n})")
-
-
 def _reconstruct(parent: list, source: int, target: int) -> list:
     path = [target]
     v = target
@@ -69,29 +63,33 @@ def _reconstruct(parent: list, source: int, target: int) -> list:
 
 
 def astar(
-    g: Graph, source: int, target: int, h: Evaluator, trace: bool = False
+    g: Graph, source: int, target: int, h: Evaluator | None, trace: bool = False
 ) -> QueryResult:
     """Guided search; exact for admissible h thanks to reopening.
 
     h follows the evaluator protocol: h(v, target) returns
-    (value, subtractions, multiplications, divisions, arity).
+    (value, subtractions, multiplications, divisions, arity). h=None
+    searches without a bound: zero evaluations and zero totals.
     """
-    _check_endpoints(g, source, target)
     n = g.vertex_count
+    if not (0 <= source < n):
+        raise ValueError(f"source {source} out of range [0,{n})")
+    if not (0 <= target < n):
+        raise ValueError(f"target {target} out of range [0,{n})")
     g_dist = [INF] * n
     parent = [-1] * n
     closed = bytearray(n)
     g_dist[source] = 0
-    hv, subs, muls, divs, arity = h(source, target)
-    evals = 1
-    total_subs, total_muls, total_divs = subs, muls, divs
-    max_arity = arity
+    if h is None:
+        hv = total_subs = total_muls = total_divs = max_arity = evals = 0
+    else:
+        hv, total_subs, total_muls, total_divs, max_arity = h(source, target)
+        evals = 1
     heap = [(hv, 0, source)]
     expanded = 0
     settled = 0
     order = [] if trace else None
     adj = g.adjacency
-    found = False
     while heap:
         f, neg_g, u = heappop(heap)
         gu = -neg_g
@@ -104,13 +102,15 @@ def astar(
         if order is not None:
             order.append(u)
         if u == target:
-            found = True
             break
         for v, w in adj[u]:
             ng = gu + w
             if ng < g_dist[v]:
                 g_dist[v] = ng
                 parent[v] = u
+                if h is None:
+                    heappush(heap, (ng, -ng, v))
+                    continue
                 hv, subs, muls, divs, arity = h(v, target)
                 evals += 1
                 total_subs += subs
@@ -120,15 +120,12 @@ def astar(
                     max_arity = arity
                 heappush(heap, (ng + hv, -ng, v))
     totals = OpCounters(total_subs, total_muls, total_divs, max_arity)
-    if not found:
-        return QueryResult(
-            source, target, INF, [], settled, expanded,
-            expanded - settled, evals, totals, order,
-        )
+    # The loop stops on settling the target, so an unsettled target was
+    # never reached and its distance is still inf.
+    path = _reconstruct(parent, source, target) if closed[target] else []
     return QueryResult(
-        source, target, g_dist[target],
-        _reconstruct(parent, source, target),
-        settled, expanded, expanded - settled, evals, totals, order,
+        source, target, g_dist[target], path, settled, expanded,
+        expanded - settled, evals, totals, order,
     )
 
 
@@ -139,46 +136,4 @@ def dijkstra_query(
 
     No heuristic work: zero evaluations and zero arithmetic totals.
     """
-    _check_endpoints(g, source, target)
-    n = g.vertex_count
-    g_dist = [INF] * n
-    parent = [-1] * n
-    closed = bytearray(n)
-    g_dist[source] = 0
-    heap = [(0, 0, source)]
-    expanded = 0
-    settled = 0
-    order = [] if trace else None
-    adj = g.adjacency
-    found = False
-    while heap:
-        f, neg_g, u = heappop(heap)
-        gu = -neg_g
-        if gu > g_dist[u]:
-            continue
-        expanded += 1
-        if not closed[u]:
-            closed[u] = 1
-            settled += 1
-        if order is not None:
-            order.append(u)
-        if u == target:
-            found = True
-            break
-        for v, w in adj[u]:
-            ng = gu + w
-            if ng < g_dist[v]:
-                g_dist[v] = ng
-                parent[v] = u
-                heappush(heap, (ng, -ng, v))
-    totals = OpCounters(0, 0, 0, 0)
-    if not found:
-        return QueryResult(
-            source, target, INF, [], settled, expanded,
-            expanded - settled, 0, totals, order,
-        )
-    return QueryResult(
-        source, target, g_dist[target],
-        _reconstruct(parent, source, target),
-        settled, expanded, expanded - settled, 0, totals, order,
-    )
+    return astar(g, source, target, None, trace)

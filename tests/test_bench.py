@@ -122,6 +122,16 @@ class TestRunWorkload:
         rows = run_workload(p6, LandmarkSet((0, 5)), [(0, 5)])
         assert all(r.wall_time_ns == 0 for r in rows)
 
+    def test_timing_changes_only_wall_time(self):
+        g = generate_grid(12, 12)
+        L = select_farthest(g, 4, 0)
+        queries = generate_queries(g, WorkloadSpec(15, seed=3))
+        plain = run_workload(g, L, queries)
+        timed = run_workload(g, L, queries, timing=True)
+        assert any(r.reopened for r in plain if r.method == "alp")
+        assert any(r.s1 + r.s2 + r.s5 for r in plain if r.method == "alp")
+        assert [dataclasses.replace(r, wall_time_ns=0) for r in timed] == plain
+
     def test_mode_and_ptolemy_forwarded(self, p6):
         lit = run_workload(p6, LandmarkSet((0, 5)), [(1, 4)],
                            methods=("alp",))[0]

@@ -1,5 +1,7 @@
 """Command-line surface, exercised in-process through cli.main."""
 
+import struct
+
 import pytest
 
 from polyroute.cli import main
@@ -111,6 +113,23 @@ class TestPreprocess:
         assert out == ""
         assert "Traceback" not in err
         assert "error: embedding covers 20 vertices but the graph has 60" in err
+
+    def test_embedding_owner_beyond_landmarks(self, p6_file, tmp_path,
+                                              capsys):
+        emb = tmp_path / "p6.lemb"
+        run(capsys, "preprocess", "--graph", p6_file, "--method", "alp",
+            "--landmarks", "2", "--out", str(emb))
+        data = bytearray(emb.read_bytes())
+        # header 24 bytes, two landmark ids, then one u64 owner per vertex
+        data[48:56] = struct.pack("<Q", 7)
+        emb.write_bytes(bytes(data))
+        code, out, err = run(capsys, "query", "--graph", p6_file,
+                             "--method", "alp", "--embedding", str(emb),
+                             "--source", "1", "--target", "4")
+        assert code == 1
+        assert out == ""
+        assert err == "error: vertex 1 has owner index 7, " \
+            "but there are only 2 landmarks\n"
 
 
 class TestQuery:

@@ -2,6 +2,7 @@
 
 import io
 import random
+import struct
 
 import pytest
 
@@ -193,6 +194,11 @@ class TestBuildDistributed:
             assert e.owner[l] == i
             assert e.dist_to_owner[l] == 0
 
+    def test_vertex_no_landmark_reaches(self):
+        g = build_graph(5, [(0, 1, 1), (1, 2, 1), (3, 4, 1)])
+        with pytest.raises(ValueError, match="vertex 3 is not reached"):
+            build_distributed_embedding(g, LandmarkSet((0,)))
+
     def test_one_multi_source_pass_plus_matrix_runs(self, grid3):
         L = LandmarkSet((0, 4, 8))
         with track_kernels() as kc:
@@ -265,6 +271,16 @@ class TestSerialization:
         data = buf.getvalue()[:-4]
         with pytest.raises(ValueError, match="truncated"):
             load_embedding(io.BytesIO(data))
+
+    def test_owner_index_beyond_landmarks(self, p6):
+        e = build_distributed_embedding(p6, LandmarkSet((0, 5)))
+        buf = io.BytesIO()
+        save_embedding(e, buf)
+        data = bytearray(buf.getvalue())
+        # header 24 bytes, two landmark ids, then one u64 owner per vertex
+        data[48:56] = struct.pack("<Q", 7)
+        with pytest.raises(ValueError, match="vertex 1 has owner index 7"):
+            load_embedding(io.BytesIO(bytes(data)))
 
     def test_deterministic_bytes(self, grid3):
         e = build_distributed_embedding(grid3, LandmarkSet((0, 8)))

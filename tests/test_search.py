@@ -1,13 +1,17 @@
 """Goal-directed search: correctness, tie-breaking, instrumentation."""
 
+import math
+
 import pytest
 
 from polyroute import (
     LandmarkSet,
+    OpCounters,
     all_pairs_oracle,
     astar,
     build_alt_embedding,
     build_distributed_embedding,
+    build_graph,
     dijkstra_query,
     generate_grid,
     generate_random_connected,
@@ -80,13 +84,25 @@ class TestAstar:
     def test_zero_heuristic_replays_dijkstra(self):
         g = generate_random_connected(80, 40, 11)
         for s, t in [(0, 79), (5, 50), (33, 33), (60, 2)]:
-            a = astar(g, s, t, zero_evaluator, trace=True)
             d = dijkstra_query(g, s, t, trace=True)
-            assert a.distance == d.distance
-            assert a.path == d.path
-            assert a.settle_order == d.settle_order
-            assert (a.settled, a.expanded, a.reopened) \
-                == (d.settled, d.expanded, d.reopened)
+            blind = astar(g, s, t, None, trace=True)
+            for a in (astar(g, s, t, zero_evaluator, trace=True), blind):
+                assert a.distance == d.distance
+                assert a.path == d.path
+                assert a.settle_order == d.settle_order
+                assert (a.settled, a.expanded, a.reopened) \
+                    == (d.settled, d.expanded, d.reopened)
+            assert blind.heuristic_evals == d.heuristic_evals == 0
+            assert blind.op_totals == d.op_totals == OpCounters(0, 0, 0, 0)
+
+    def test_unreachable_target(self):
+        g = build_graph(4, [(0, 1, 1), (2, 3, 1)])
+        h = make_alt_evaluator(build_alt_embedding(g, LandmarkSet((0, 2))))
+        for ev in (None, h):
+            r = astar(g, 0, 3, ev)
+            assert r.distance == math.inf
+            assert r.path == []
+            assert (r.settled, r.expanded) == (2, 2)
 
     def test_alt_never_reopens(self):
         # triangle-inequality bound is consistent, so no vertex is
