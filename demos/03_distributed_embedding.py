@@ -3,7 +3,9 @@
 The full table stores every landmark-to-vertex distance, k rows of n
 entries. The distributed form keeps one owner landmark per vertex plus
 the single distance to it, and adds the small k-by-k landmark matrix.
-Preprocessing is one multi-source sweep instead of k full trees.
+Preprocessing is one multi-source sweep instead of k full trees, plus
+truncated runs between landmarks for the matrix; a selector that already
+ran full trees from its landmarks hands those matrix rows on.
 
     python3 demos/03_distributed_embedding.py
 """
@@ -12,6 +14,7 @@ import io
 from collections import Counter
 
 from polyroute import (
+    LandmarkSet,
     build_alt_embedding,
     build_distributed_embedding,
     generate_random_connected,
@@ -25,15 +28,28 @@ from polyroute import (
 g = generate_random_connected(500, 200, seed=21)
 L = select_farthest(g, 8, seed=21)
 
+
+def show(label, kc):
+    print(f"{label:31s}: full_spt={kc.full_spt} "
+          f"multi_source={kc.multi_source} truncated_spt={kc.truncated_spt}")
+
+
+# The standalone cost, from landmark ids alone (as read from a file):
+# one sweep plus one truncated run per landmark.
 with track_kernels() as kc:
-    dist = build_distributed_embedding(g, L)
-print(f"distributed build: full_spt={kc.full_spt} "
-      f"multi_source={kc.multi_source} truncated_spt={kc.truncated_spt}")
+    dist = build_distributed_embedding(g, LandmarkSet(L.ids))
+show("distributed build, ids only", kc)
+
+# In a pipeline, select_farthest hands on the matrix rows of the full
+# trees it ran, so only its last landmark needs a truncated run.
+with track_kernels() as kc:
+    piped = build_distributed_embedding(g, L)
+show("distributed build, selector's L", kc)
+assert piped == dist
 
 with track_kernels() as kc:
     full = build_alt_embedding(g, L)
-print(f"full-table build : full_spt={kc.full_spt} "
-      f"multi_source={kc.multi_source} truncated_spt={kc.truncated_spt}")
+show("full-table build", kc)
 print()
 
 # Ownership partitions the graph into nearest-landmark cells.

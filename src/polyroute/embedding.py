@@ -17,6 +17,7 @@ smaller landmark index.
 
 from __future__ import annotations
 
+import io
 import random
 import struct
 from dataclasses import dataclass, field
@@ -38,9 +39,17 @@ _KIND_DISTRIBUTED = 2
 
 @dataclass(frozen=True)
 class LandmarkSet:
-    """Ordered distinct vertex ids; order defines the landmark index."""
+    """Ordered distinct vertex ids; order defines the landmark index.
+
+    A selector that ran full trees from its landmarks may pass on the
+    leading rows of the landmark matrix it read off them: matrix[i][j] =
+    d(ids[i], ids[j]) for the first len(matrix) landmarks, valid only in
+    graph. Neither field takes part in equality or hashing.
+    """
 
     ids: tuple
+    matrix: tuple = field(default=(), compare=False, repr=False)
+    graph: "Graph | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         ids = tuple(self.ids)
@@ -103,13 +112,16 @@ def select_farthest(g: Graph, k: int, seed: int) -> LandmarkSet:
 
     The first landmark is the vertex farthest from a seed-chosen start;
     each next landmark maximizes the minimum distance to those already
-    chosen. Ties go to the smallest vertex id.
+    chosen. Ties go to the smallest vertex id. The result carries the
+    landmark-matrix rows of the full trees from all landmarks but the
+    last.
     """
     _check_k(g, k)
     n = g.vertex_count
     start = random.Random(seed).randrange(n)
     chosen: list = []
     taken = set()
+    rows: list = []  # full tree from each chosen landmark but the last
     # Distances from the start pick the first landmark only; afterwards
     # min_dist tracks min over chosen landmarks, start excluded.
     min_dist = shortest_path_tree(g, start).dist
@@ -124,13 +136,14 @@ def select_farthest(g: Graph, k: int, seed: int) -> LandmarkSet:
         if len(chosen) == k:
             break
         row = shortest_path_tree(g, best).dist
+        rows.append(row)
         if len(chosen) == 1:
             min_dist = list(row)
         else:
             for v in range(n):
                 if row[v] < min_dist[v]:
                     min_dist[v] = row[v]
-    return LandmarkSet(tuple(chosen))
+    return _with_matrix(g, chosen, rows)
 
 
 def select_avoid(g: Graph, k: int, seed: int) -> LandmarkSet:
@@ -143,7 +156,8 @@ def select_avoid(g: Graph, k: int, seed: int) -> LandmarkSet:
     children to a leaf. That leaf joins the landmark set. When every
     weight is zero (the bounds are already exact) or the walk lands on
     an existing landmark, the fallback picks the vertex farthest from
-    the current landmarks, ties to the smallest id.
+    the current landmarks, ties to the smallest id. The result carries
+    the whole landmark matrix, read off the landmarks' full trees.
     """
     _check_k(g, k)
     n = g.vertex_count
@@ -167,7 +181,15 @@ def select_avoid(g: Graph, k: int, seed: int) -> LandmarkSet:
             pick = _farthest_from(g, chosen, n)
         chosen.append(pick)
         rows.append(shortest_path_tree(g, pick).dist)
-    return LandmarkSet(tuple(chosen))
+    return _with_matrix(g, chosen, rows)
+
+
+def _with_matrix(g: Graph, chosen: list, rows: list) -> LandmarkSet:
+    """Landmark set carrying the matrix block read off the first
+    len(rows) landmarks' full trees; the rows themselves are dropped."""
+    ids = tuple(chosen)
+    matrix = tuple(tuple(row[l] for l in ids) for row in rows)
+    return LandmarkSet(ids, matrix=matrix, graph=g)
 
 
 def _descend_heaviest(spt, weight: list, n: int):
@@ -222,7 +244,11 @@ def build_alt_embedding(g: Graph, L: LandmarkSet) -> AltEmbedding:
 def build_distributed_embedding(g: Graph, L: LandmarkSet) -> DistributedEmbedding:
     """Nearest-landmark ownership in one multi-source pass over the
     whole graph, plus the pairwise matrix from truncated per-landmark
-    runs. All stored distances are true graph distances."""
+    runs. All stored distances are true graph distances.
+
+    Matrix rows that L carries for this very graph are reused, so only
+    the landmarks without one get a truncated run.
+    """
     _check_landmarks(g, L)
     index_of = {l: i for i, l in enumerate(L.ids)}
     # Tie ranks = landmark positions: equal-distance ownership ties go
@@ -233,7 +259,7 @@ def build_distributed_embedding(g: Graph, L: LandmarkSet) -> DistributedEmbeddin
             f"vertex {dm.owner.index(-1)} is not reached by any landmark"
         )
     owner = [index_of[ov] for ov in dm.owner]
-    lmatrix = landmark_matrix(g, L.ids)
+    lmatrix = landmark_matrix(g, L.ids, L.matrix if L.graph is g else ())
     return DistributedEmbedding(
         landmarks=L, owner=owner, dist_to_owner=dm.dist, lmatrix=lmatrix
     )
@@ -309,7 +335,12 @@ def save_embedding(e: Embedding, stream: BinaryIO) -> None:
 
 
 def load_embedding(stream: BinaryIO) -> Embedding:
-    """Inverse of save_embedding; validates magic, version, and kind."""
+    """Inverse of save_embedding; validates magic, version, and kind.
+
+    On a seekable stream the counts in the header are checked against
+    the bytes that follow before any payload is read, so a corrupt count
+    fails with ValueError instead of a huge read.
+    """
     head = stream.read(8)
     if len(head) != 8:
         raise ValueError("embedding file truncated in header")
@@ -319,6 +350,18 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     if version != _VERSION:
         raise ValueError(f"unsupported embedding version {version}")
     nv, k = struct.unpack("<QQ", _read_exact(stream, 16))
+    if kind not in (_KIND_FULL, _KIND_DISTRIBUTED):
+        raise ValueError(f"unknown embedding kind {kind}")
+    # ids, then k rows of nv distances or nv owners plus nv distances,
+    # then the k x k matrix; 8 bytes per entry.
+    per_vertex = k if kind == _KIND_FULL else 2
+    need = 8 * (k + per_vertex * nv + k * k)
+    left = _bytes_left(stream)
+    if left is not None and need > left:
+        raise ValueError(
+            f"embedding file truncated: header declares {nv} vertices and "
+            f"{k} landmarks, {need} payload bytes, but only {left} follow"
+        )
     ids = struct.unpack(f"<{k}Q", _read_exact(stream, 8 * k))
     L = LandmarkSet(tuple(ids))
     if kind == _KIND_FULL:
@@ -328,20 +371,28 @@ def load_embedding(stream: BinaryIO) -> Embedding:
         ]
         lmatrix = _read_matrix(stream, k)
         return AltEmbedding(landmarks=L, table=table, lmatrix=lmatrix)
-    if kind == _KIND_DISTRIBUTED:
-        owner = list(struct.unpack(f"<{nv}Q", _read_exact(stream, 8 * nv)))
-        top = max(owner, default=0)
-        if top >= k:
-            raise ValueError(
-                f"vertex {owner.index(top)} has owner index {top}, "
-                f"but there are only {k} landmarks"
-            )
-        dist = _num_list(struct.unpack(f"<{nv}d", _read_exact(stream, 8 * nv)))
-        lmatrix = _read_matrix(stream, k)
-        return DistributedEmbedding(
-            landmarks=L, owner=owner, dist_to_owner=dist, lmatrix=lmatrix
+    owner = list(struct.unpack(f"<{nv}Q", _read_exact(stream, 8 * nv)))
+    top = max(owner, default=0)
+    if top >= k:
+        raise ValueError(
+            f"vertex {owner.index(top)} has owner index {top}, "
+            f"but there are only {k} landmarks"
         )
-    raise ValueError(f"unknown embedding kind {kind}")
+    dist = _num_list(struct.unpack(f"<{nv}d", _read_exact(stream, 8 * nv)))
+    lmatrix = _read_matrix(stream, k)
+    return DistributedEmbedding(
+        landmarks=L, owner=owner, dist_to_owner=dist, lmatrix=lmatrix
+    )
+
+
+def _bytes_left(stream: BinaryIO) -> "int | None":
+    """Bytes between the position and the end; None if not seekable."""
+    if not stream.seekable():
+        return None
+    pos = stream.tell()
+    end = stream.seek(0, io.SEEK_END)
+    stream.seek(pos)
+    return end - pos
 
 
 def _read_matrix(stream: BinaryIO, k: int) -> list:

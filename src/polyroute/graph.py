@@ -16,6 +16,7 @@ Two text formats are supported:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
@@ -69,17 +70,25 @@ class Graph:
         return count == self.vertex_count
 
 
+_EXACT_INT = 2**53  # ints below this magnitude convert to doubles exactly
+
+
 def build_graph(vertex_count: int, edges: Iterable[tuple]) -> Graph:
     """Build a graph from (u, v, weight) triples.
 
-    Rejects out-of-range endpoints, nonpositive weights, self-loops, and
-    duplicate unordered pairs.
+    Rejects out-of-range endpoints, nonpositive or infinite weights,
+    self-loops, and duplicate unordered pairs. Also rejects an int weight
+    of 2**53 or more next to float weights: mixed sums are rounded to
+    doubles, which cannot hold such an int exactly, so a path through
+    float edges could look shorter than the exact int edge.
     """
     if vertex_count < 0:
         raise GraphError(f"vertex_count must be nonnegative, got {vertex_count}")
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(vertex_count)]
     seen: set[tuple[int, int]] = set()
     count = 0
+    has_float = False
+    huge_int = None  # first edge with an int weight >= 2**53
     for u, v, w in edges:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise GraphError(f"edge ({u},{v}) endpoint out of range [0,{vertex_count})")
@@ -87,6 +96,12 @@ def build_graph(vertex_count: int, edges: Iterable[tuple]) -> Graph:
             raise GraphError(f"self-loop at vertex {u}")
         if not w > 0:
             raise GraphError(f"edge ({u},{v}) has nonpositive weight {w}")
+        if w == math.inf:
+            raise GraphError(f"edge ({u},{v}) has non-finite weight {w}")
+        if isinstance(w, float):
+            has_float = True
+        elif huge_int is None and w >= _EXACT_INT:
+            huge_int = (u, v, w)
         key = (u, v) if u < v else (v, u)
         if key in seen:
             raise GraphError(f"duplicate edge ({u},{v})")
@@ -94,6 +109,12 @@ def build_graph(vertex_count: int, edges: Iterable[tuple]) -> Graph:
         adjacency[u].append((v, w))
         adjacency[v].append((u, w))
         count += 1
+    if has_float and huge_int is not None:
+        u, v, w = huge_int
+        raise GraphError(
+            f"edge ({u},{v}) has int weight {w} >= 2**53 in a graph with "
+            f"float weights; doubles cannot sum it exactly"
+        )
     for lst in adjacency:
         lst.sort()
     return Graph(vertex_count=vertex_count, adjacency=adjacency, edge_count=count)
@@ -108,6 +129,8 @@ def _parse_weight(text: str, context: str) -> "int | float":
         w = float(text)
     except ValueError:
         raise GraphError(f"{context}: bad weight {text!r}") from None
+    if not math.isfinite(w):
+        raise GraphError(f"{context}: non-finite weight {text!r}")
     return w
 
 

@@ -45,10 +45,9 @@ from struct import pack
 from typing import Callable
 
 from .embedding import AltEmbedding, DistributedEmbedding
+from .graph import _EXACT_INT
 
 MODES = ("literal", "optimized")
-
-_EXACT_INT = 2**53  # ints below this magnitude convert to doubles exactly
 
 SCENARIOS = ("S1", "S2", "S3", "S4", "S5")
 """Joint configuration of v's owner l1, t's owner l2, and the landmark

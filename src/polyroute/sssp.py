@@ -195,18 +195,28 @@ def truncated_spt(g: Graph, source: int, targets: Sequence[int]) -> DistanceMap:
     return DistanceMap(sources=(source,), dist=dist, owner=owner, parent=parent)
 
 
-def landmark_matrix(g: Graph, landmarks: Sequence[int]) -> list:
-    """Pairwise true distances among landmarks, |L| truncated runs.
+def landmark_matrix(
+    g: Graph, landmarks: Sequence[int], known: Sequence[Sequence] = ()
+) -> list:
+    """Pairwise true distances among landmarks.
 
-    Keeps only the |L| x |L| block; rows to non-landmarks are discarded.
+    known holds the first rows when the caller already has them (row i
+    = distances from landmarks[i] to every landmark, read off a full
+    tree); each remaining landmark gets one truncated run. A truncated
+    run settles a prefix of the full run, so both give the same values
+    bit for bit. Keeps only the |L| x |L| block.
     """
     lms = tuple(landmarks)
     if len(set(lms)) != len(lms):
         raise ValueError(f"duplicate landmarks in {lms}")
     for l in lms:
         _check_vertex(g, l, "landmark")
-    matrix = []
-    for l in lms:
+    if len(known) > len(lms) or any(len(row) != len(lms) for row in known):
+        raise ValueError(
+            f"known rows must be at most {len(lms)} rows of {len(lms)} entries"
+        )
+    matrix = [list(row) for row in known]
+    for l in lms[len(known):]:
         dm = truncated_spt(g, l, lms)
         matrix.append([dm.dist[other] for other in lms])
     return matrix

@@ -132,6 +132,25 @@ class TestPreprocess:
             "but there are only 2 landmarks\n"
 
 
+    def test_embedding_header_counts_beyond_file(self, p6_file, tmp_path,
+                                                 capsys):
+        emb = tmp_path / "p6.lemb"
+        run(capsys, "preprocess", "--graph", p6_file, "--method", "alp",
+            "--landmarks", "2", "--out", str(emb))
+        data = bytearray(emb.read_bytes())
+        # the landmark count is the u64 at offset 16
+        data[16:24] = struct.pack("<Q", 2**61)
+        emb.write_bytes(bytes(data))
+        code, out, err = run(capsys, "query", "--graph", p6_file,
+                             "--method", "alp", "--embedding", str(emb),
+                             "--source", "1", "--target", "4")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: embedding file truncated: header "
+                              f"declares 6 vertices and {2**61} landmarks")
+        assert err.count("\n") == 1
+
+
 class TestQuery:
     def test_dual_landmark_route(self, p6_file, capsys):
         code, out, _ = run(capsys, "query", "--graph", p6_file,
@@ -164,6 +183,16 @@ class TestQuery:
                            "--source", "0", "--target", "66")
         assert code == 1
         assert "error:" in err
+
+    def test_infinite_weight_is_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "inf.gr"
+        path.write_text("p sp 3 2\na 1 2 1\na 2 3 inf\n")
+        code, out, err = run(capsys, "query", "--graph", str(path),
+                             "--method", "dijkstra",
+                             "--source", "0", "--target", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 3: non-finite weight 'inf'\n"
 
     def test_missing_graph_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "query", "--graph",

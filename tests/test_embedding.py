@@ -49,6 +49,15 @@ class TestLandmarkSet:
     def test_order_preserved(self):
         assert tuple(LandmarkSet((5, 0))) == (5, 0)
 
+    def test_matrix_and_graph_ignored_by_equality(self, p6):
+        bare = LandmarkSet((0, 5))
+        rich = LandmarkSet((0, 5), matrix=((0, 5),), graph=p6)
+        assert bare == rich
+        assert hash(bare) == hash(rich)
+        assert repr(bare) == repr(rich)
+        assert bare.matrix == () and bare.graph is None
+        assert select_random(p6, 2, 0).matrix == ()
+
 
 class TestSelectRandom:
     def test_all_vertices_when_k_equals_n(self, p6):
@@ -216,6 +225,83 @@ class TestBuildDistributed:
         )
 
 
+def reweighted(g, weight, seed: int):
+    """g's edges with weights drawn by weight(rng)."""
+    rng = random.Random(seed)
+    return build_graph(
+        g.vertex_count, [(u, v, weight(rng)) for u, v, _ in g.edges()]
+    )
+
+
+def eighths(rng):
+    return rng.randrange(1, 80) / 8
+
+
+def lemb_bytes(e) -> bytes:
+    buf = io.BytesIO()
+    save_embedding(e, buf)
+    return buf.getvalue()
+
+
+MATRIX_GRAPHS = {
+    "int-random": lambda: reweighted(
+        generate_random_connected(80, 40, 4), lambda rng: rng.randint(1, 9), 4
+    ),
+    "eighths-grid": lambda: reweighted(generate_grid(10, 10), eighths, 1),
+    "tenths-grid": lambda: reweighted(
+        generate_grid(10, 10), lambda rng: rng.randrange(1, 100) / 10, 1
+    ),
+}
+
+
+class TestSelectorMatrixRows:
+    """Selectors hand on the matrix rows of their full trees."""
+
+    @pytest.mark.parametrize("select", [select_farthest, select_avoid])
+    @pytest.mark.parametrize("kind", sorted(MATRIX_GRAPHS))
+    def test_same_embedding_as_bare_ids(self, select, kind):
+        g = MATRIX_GRAPHS[kind]()
+        L = select(g, 6, 3)
+        assert L.matrix and L.graph is g
+        e = build_distributed_embedding(g, L)
+        bare = build_distributed_embedding(g, LandmarkSet(L.ids))
+        assert e.owner == bare.owner
+        # repr tells 1 from 1.0 and shows every digit of a float
+        assert repr(e.dist_to_owner) == repr(bare.dist_to_owner)
+        assert repr(e.lmatrix) == repr(bare.lmatrix)
+        assert lemb_bytes(e) == lemb_bytes(bare)
+
+    @pytest.mark.parametrize(
+        "select, rows, truncated", [(select_farthest, 4, 1), (select_avoid, 5, 0)]
+    )
+    def test_kernel_counts(self, select, rows, truncated):
+        g = generate_grid(8, 8)
+        L = select(g, 5, 2)
+        assert len(L.matrix) == rows
+        with track_kernels() as kc:
+            build_distributed_embedding(g, L)
+        assert (kc.full_spt, kc.multi_source, kc.truncated_spt) == (
+            0, 1, truncated,
+        )
+
+    def test_farthest_runs_no_extra_tree(self):
+        g = generate_grid(8, 8)
+        with track_kernels() as kc:
+            select_farthest(g, 5, 2)
+        # one tree from the start, one from every landmark but the last
+        assert kc.full_spt == 5
+
+    def test_rows_from_another_graph_are_not_used(self):
+        g1 = reweighted(generate_grid(8, 8), eighths, 1)
+        g2 = reweighted(generate_grid(8, 8), eighths, 2)
+        L = select_farthest(g1, 5, 2)
+        with track_kernels() as kc:
+            e = build_distributed_embedding(g2, L)
+        assert kc.truncated_spt == 5
+        bare = build_distributed_embedding(g2, LandmarkSet(L.ids))
+        assert repr(e.lmatrix) == repr(bare.lmatrix)
+
+
 class TestSpaceAccounting:
     def test_p6_both_kinds(self, p6):
         L = LandmarkSet((0, 5))
@@ -281,6 +367,13 @@ class TestSerialization:
         data[48:56] = struct.pack("<Q", 7)
         with pytest.raises(ValueError, match="vertex 1 has owner index 7"):
             load_embedding(io.BytesIO(bytes(data)))
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    @pytest.mark.parametrize("nv, k", [(6, 2**61), (2**61, 2)])
+    def test_header_counts_beyond_file(self, kind, nv, k):
+        data = struct.pack("<4sBB2xQQ", b"LEMB", 1, kind, nv, k) + bytes(200)
+        with pytest.raises(ValueError, match=f"declares {nv} vertices and {k}"):
+            load_embedding(io.BytesIO(data))
 
     def test_deterministic_bytes(self, grid3):
         e = build_distributed_embedding(grid3, LandmarkSet((0, 8)))

@@ -1,6 +1,7 @@
 """Graph construction, generators, and file formats."""
 
 import io
+import math
 
 import pytest
 
@@ -13,6 +14,7 @@ from polyroute import (
     load_edge_list,
     save_dimacs,
     save_edge_list,
+    shortest_path_tree,
 )
 
 
@@ -48,6 +50,23 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="nonpositive"):
             build_graph(2, [(0, 1, -3)])
 
+    def test_infinite_weight_rejected(self):
+        with pytest.raises(GraphError, match=r"edge \(0,1\) has non-finite"):
+            build_graph(2, [(0, 1, math.inf)])
+
+    def test_huge_int_next_to_float_rejected(self):
+        edges = [(0, 1, 2**53 + 1), (1, 2, 0.5), (0, 2, 2**53)]
+        with pytest.raises(
+            GraphError, match=r"edge \(0,1\) has int weight 9007199254740993"
+        ):
+            build_graph(3, edges)
+        # just below 2**53 every int is a double
+        assert build_graph(3, [(0, 1, 2**53 - 1), (1, 2, 0.5)]).edge_count == 2
+
+    def test_huge_int_weights_alone_stay_exact(self):
+        g = build_graph(3, [(0, 1, 2**53 + 1), (1, 2, 1), (0, 2, 2**53)])
+        assert shortest_path_tree(g, 0).dist[1] == 2**53 + 1
+
     def test_out_of_range_endpoint_rejected(self):
         with pytest.raises(GraphError, match="out of range"):
             build_graph(2, [(0, 2, 1)])
@@ -76,6 +95,11 @@ class TestDimacs:
     def test_nonpositive_weight_error(self):
         with pytest.raises(GraphError, match="nonpositive"):
             load_dimacs("p sp 2 1\na 1 2 0")
+
+    @pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])
+    def test_non_finite_weight_error(self, weight):
+        with pytest.raises(GraphError, match="line 2: non-finite weight"):
+            load_dimacs(f"p sp 2 1\na 1 2 {weight}")
 
     def test_path_file_round_trips_to_fixture(self, p6):
         text = "c six-vertex path\np sp 6 5\n" + "\n".join(

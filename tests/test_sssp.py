@@ -130,6 +130,12 @@ class TestLandmarkMatrix:
                 for h in range(k):
                     assert m[i][j] <= m[i][h] + m[h][j]
 
+    def test_known_rows_must_fit(self, p6):
+        with pytest.raises(ValueError, match="known rows"):
+            landmark_matrix(p6, (0, 5), known=[[0, 5], [5, 0], [1, 1]])
+        with pytest.raises(ValueError, match="known rows"):
+            landmark_matrix(p6, (0, 5), known=[[0, 5, 1]])
+
     def test_duplicate_landmarks(self, p6):
         with pytest.raises(ValueError, match="duplicate"):
             landmark_matrix(p6, (0, 0))
@@ -186,6 +192,15 @@ class TestKernelCounters:
         assert kc.full_spt == 2
         assert kc.multi_source == 1
         assert kc.truncated_spt == 3
+
+    def test_known_rows_skip_their_runs(self, p6):
+        lms = (0, 3, 5)
+        full = landmark_matrix(p6, lms)
+        for m in range(len(lms) + 1):
+            with track_kernels() as kc:
+                got = landmark_matrix(p6, lms, known=full[:m])
+            assert kc.truncated_spt == len(lms) - m
+            assert got == full
 
     def test_nested_trackers_both_count(self, p6):
         with track_kernels() as outer:
