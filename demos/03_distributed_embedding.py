@@ -5,7 +5,8 @@ entries. The distributed form keeps one owner landmark per vertex plus
 the single distance to it, and adds the small k-by-k landmark matrix.
 Preprocessing is one multi-source sweep instead of k full trees, plus
 truncated runs between landmarks for the matrix; a selector that already
-ran full trees from its landmarks hands those matrix rows on.
+ran full trees from its landmarks hands those matrix rows on, and the
+full rows themselves to the full-table build.
 
     python3 demos/03_distributed_embedding.py
 """
@@ -47,9 +48,16 @@ with track_kernels() as kc:
 show("distributed build, selector's L", kc)
 assert piped == dist
 
+# The full table needs one full tree per landmark from ids alone; with
+# the selector's L it takes over the rows of the trees select_farthest
+# ran, so only the last landmark needs a tree.
 with track_kernels() as kc:
-    full = build_alt_embedding(g, L)
-show("full-table build", kc)
+    full = build_alt_embedding(g, LandmarkSet(L.ids))
+show("full-table build, ids only", kc)
+with track_kernels() as kc:
+    piped_full = build_alt_embedding(g, L)
+show("full-table build, selector's L", kc)
+assert piped_full == full
 print()
 
 # Ownership partitions the graph into nearest-landmark cells.

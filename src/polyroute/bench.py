@@ -19,6 +19,8 @@ import json
 import random
 import time
 from dataclasses import dataclass, fields
+from itertools import groupby
+from operator import itemgetter
 from typing import Sequence, TextIO
 
 from .embedding import (
@@ -131,10 +133,12 @@ def _stratified_queries(g: Graph, spec: WorkloadSpec, rng) -> list:
                 t += 1
             seen.add((s, t))
         pool = sorted(seen)
-    rows = {}
-    for s in sorted({s for s, _ in pool}):
-        rows[s] = shortest_path_tree(g, s).dist
-    dists = [rows[s][t] for s, t in pool]
+    # The pool is sorted by source: one tree per source, dropped after
+    # its targets are read.
+    dists = []
+    for s, pairs in groupby(pool, key=itemgetter(0)):
+        row = shortest_path_tree(g, s).dist
+        dists.extend(row[t] for _, t in pairs)
     max_d = max(dists)
     buckets: list = [[] for _ in range(10)]
     for pair, d in zip(pool, dists):
@@ -255,31 +259,41 @@ class VerificationReport:
         return not self.violations
 
 
-def verify_workload(g: Graph, rows: Sequence, cap: int = 5000) -> VerificationReport:
+def verify_workload(g: Graph, rows: Sequence) -> VerificationReport:
     """Recompute every row's distance from scratch and compare exactly.
 
-    One pilot single-source run per distinct source (memoized), capped
-    like the quadratic oracle to keep memory bounded.
+    Rows are grouped by source, and each source's rows are checked from
+    one single-source run that is dropped before the next, so memory
+    holds one distance row at a time. Violations are listed in row
+    order. A row whose source or target is not a vertex of g raises
+    ValueError naming the row.
     """
-    if g.vertex_count > cap:
-        raise ValueError(f"graph has {g.vertex_count} vertices, cap is {cap}")
-    memo = {}
-    violations = []
+    n = g.vertex_count
+    by_source: dict = {}
     for i, row in enumerate(rows):
-        if row.source not in memo:
-            memo[row.source] = shortest_path_tree(g, row.source).dist
-        expected = memo[row.source][row.target]
-        if row.distance != expected:
-            violations.append(
-                {
-                    "row": i,
-                    "method": row.method,
-                    "source": row.source,
-                    "target": row.target,
-                    "reported": row.distance,
-                    "expected": expected,
-                }
-            )
+        for what in ("source", "target"):
+            v = getattr(row, what)
+            if not (0 <= v < n):
+                raise ValueError(f"row {i}: {what} {v} out of range [0,{n})")
+        by_source.setdefault(row.source, []).append(i)
+    violations = []
+    for s, indices in by_source.items():
+        dist = shortest_path_tree(g, s).dist
+        for i in indices:
+            row = rows[i]
+            expected = dist[row.target]
+            if row.distance != expected:
+                violations.append(
+                    {
+                        "row": i,
+                        "method": row.method,
+                        "source": row.source,
+                        "target": row.target,
+                        "reported": row.distance,
+                        "expected": expected,
+                    }
+                )
+    violations.sort(key=itemgetter("row"))
     return VerificationReport(checked=len(rows), violations=violations)
 
 

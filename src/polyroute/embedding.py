@@ -41,19 +41,23 @@ _KIND_DISTRIBUTED = 2
 class LandmarkSet:
     """Ordered distinct vertex ids; order defines the landmark index.
 
-    A selector that ran full trees from its landmarks may pass on the
-    leading rows of the landmark matrix it read off them: matrix[i][j] =
-    d(ids[i], ids[j]) for the first len(matrix) landmarks, valid only in
-    graph. Neither field takes part in equality or hashing.
+    A selector that ran full trees from its landmarks may pass on what it
+    read off them, valid only in graph: the leading rows of the landmark
+    matrix, matrix[i][j] = d(ids[i], ids[j]), and the full distance rows
+    themselves, rows[i][v] = d(ids[i], v). build_alt_embedding takes the
+    rows over once and empties the list. None of the three fields takes
+    part in equality or hashing.
     """
 
     ids: tuple
     matrix: tuple = field(default=(), compare=False, repr=False)
     graph: "Graph | None" = field(default=None, compare=False, repr=False)
+    rows: list = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
         ids = tuple(self.ids)
         object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "rows", list(self.rows))
         if not ids:
             raise ValueError("landmark set must be nonempty")
         if len(set(ids)) != len(ids):
@@ -113,8 +117,8 @@ def select_farthest(g: Graph, k: int, seed: int) -> LandmarkSet:
     The first landmark is the vertex farthest from a seed-chosen start;
     each next landmark maximizes the minimum distance to those already
     chosen. Ties go to the smallest vertex id. The result carries the
-    landmark-matrix rows of the full trees from all landmarks but the
-    last.
+    full trees' distance rows, and the landmark-matrix rows read off
+    them, of all landmarks but the last.
     """
     _check_k(g, k)
     n = g.vertex_count
@@ -157,7 +161,8 @@ def select_avoid(g: Graph, k: int, seed: int) -> LandmarkSet:
     weight is zero (the bounds are already exact) or the walk lands on
     an existing landmark, the fallback picks the vertex farthest from
     the current landmarks, ties to the smallest id. The result carries
-    the whole landmark matrix, read off the landmarks' full trees.
+    every landmark's full distance row and the whole landmark matrix
+    read off them.
     """
     _check_k(g, k)
     n = g.vertex_count
@@ -185,11 +190,11 @@ def select_avoid(g: Graph, k: int, seed: int) -> LandmarkSet:
 
 
 def _with_matrix(g: Graph, chosen: list, rows: list) -> LandmarkSet:
-    """Landmark set carrying the matrix block read off the first
-    len(rows) landmarks' full trees; the rows themselves are dropped."""
+    """Landmark set carrying the first len(rows) landmarks' full distance
+    rows and the matrix block read off them."""
     ids = tuple(chosen)
     matrix = tuple(tuple(row[l] for l in ids) for row in rows)
-    return LandmarkSet(ids, matrix=matrix, graph=g)
+    return LandmarkSet(ids, matrix=matrix, graph=g, rows=rows)
 
 
 def _descend_heaviest(spt, weight: list, n: int):
@@ -234,9 +239,24 @@ def _farthest_from(g: Graph, chosen: list, n: int) -> int:
 
 
 def build_alt_embedding(g: Graph, L: LandmarkSet) -> AltEmbedding:
-    """One full distance row per landmark; matrix read off the rows."""
+    """One full distance row per landmark; matrix read off the rows.
+
+    Rows that L carries for this very graph become the leading rows of
+    the table, and L.rows is emptied so the set no longer keeps them
+    alive; only the landmarks without a row get a full tree. The hand-
+    off happens once: a second build from the same set runs all k trees
+    again and gets the same values.
+    """
     _check_landmarks(g, L)
-    table = [shortest_path_tree(g, l).dist for l in L.ids]
+    table = L.rows[:] if L.graph is g else []
+    if table:
+        L.rows.clear()
+    if len(table) > len(L.ids) or any(len(r) != g.vertex_count for r in table):
+        raise ValueError(
+            f"landmark rows must be at most {len(L.ids)} rows of "
+            f"{g.vertex_count} entries"
+        )
+    table += [shortest_path_tree(g, l).dist for l in L.ids[len(table):]]
     lmatrix = [[row[other] for other in L.ids] for row in table]
     return AltEmbedding(landmarks=L, table=table, lmatrix=lmatrix)
 
@@ -338,12 +358,11 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     """Inverse of save_embedding; validates magic, version, and kind.
 
     On a seekable stream the counts in the header are checked against
-    the bytes that follow before any payload is read, so a corrupt count
-    fails with ValueError instead of a huge read.
+    the bytes that follow before any payload is read; on any stream the
+    payload is read in bounded pieces. Either way a corrupt count fails
+    with ValueError instead of a huge read.
     """
-    head = stream.read(8)
-    if len(head) != 8:
-        raise ValueError("embedding file truncated in header")
+    head = _read_exact(stream, 8, "header")
     magic, version, kind = struct.unpack("<4sBB2x", head)
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
@@ -402,8 +421,19 @@ def _read_matrix(stream: BinaryIO, k: int) -> list:
     ]
 
 
-def _read_exact(stream: BinaryIO, count: int) -> bytes:
-    data = stream.read(count)
-    if len(data) != count:
-        raise ValueError("embedding file truncated in payload")
-    return data
+_READ_PIECE = 1 << 20
+
+
+def _read_exact(stream: BinaryIO, count: int, where: str = "payload") -> bytes:
+    """count bytes, read in pieces of at most 1 MiB, so a corrupt header
+    count on a non-seekable stream ends at the stream's end with
+    ValueError instead of one huge read."""
+    pieces = []
+    left = count
+    while left:
+        piece = stream.read(min(left, _READ_PIECE))
+        if not piece:
+            raise ValueError(f"embedding file truncated in {where}")
+        pieces.append(piece)
+        left -= len(piece)
+    return b"".join(pieces)

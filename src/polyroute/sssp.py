@@ -15,6 +15,7 @@ API, position in a landmark sequence for embedding construction.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Sequence
@@ -62,11 +63,16 @@ class KernelCounters:
     truncated_spt: int = 0
 
 
-_active_counters: list = []
+# Counters of the track_kernels blocks open in the current context,
+# outermost first. A thread starts with none, so its kernel calls are
+# not counted by blocks open in another thread.
+_active: ContextVar = ContextVar("polyroute_kernel_counters", default=())
 
 
 class track_kernels:
     """Context manager recording kernel invocations in its dynamic extent.
+
+    Nested blocks each count the calls made inside them.
 
     >>> with track_kernels() as kc:
     ...     shortest_path_tree(g, 0)
@@ -76,15 +82,15 @@ class track_kernels:
 
     def __enter__(self) -> KernelCounters:
         self.counters = KernelCounters()
-        _active_counters.append(self.counters)
+        self._token = _active.set(_active.get() + (self.counters,))
         return self.counters
 
     def __exit__(self, *exc) -> None:
-        _active_counters.remove(self.counters)
+        _active.reset(self._token)
 
 
 def _count(kind: str) -> None:
-    for c in _active_counters:
+    for c in _active.get():
         setattr(c, kind, getattr(c, kind) + 1)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import weakref
 
 import pytest
 
@@ -11,6 +12,7 @@ from polyroute import (
     BenchRow,
     LandmarkSet,
     WorkloadSpec,
+    build_graph,
     dijkstra_query,
     emit_report,
     format_summary,
@@ -72,6 +74,23 @@ class TestGenerateQueries:
         a = generate_queries(g, spec)
         assert a == generate_queries(g, spec)
         assert len(a) == 30
+
+    @pytest.mark.parametrize("kind", ["sampled-pool", "all-pairs-pool"])
+    def test_stratified_one_tree_at_a_time(self, monkeypatch, kind):
+        # n*n above 10,000 samples the pool; below, it takes every pair
+        if kind == "sampled-pool":
+            g = generate_random_connected(150, 60, 4)
+            want = [(75, 120), (108, 139), (123, 41), (74, 113), (136, 144),
+                    (80, 47), (124, 67), (34, 61), (148, 132), (110, 23),
+                    (0, 65), (23, 32)]
+        else:
+            g = generate_grid(5, 5)
+            want = [(23, 18), (23, 19), (19, 8), (24, 20), (21, 8), (15, 3),
+                    (3, 20), (4, 20), (22, 17), (6, 2), (1, 16), (19, 15)]
+        peak = track_live_rows(monkeypatch)
+        spec = WorkloadSpec(12, seed=5, stratification="by-distance-decile")
+        assert generate_queries(g, spec) == want
+        assert peak.live <= 2
 
 
 class TestRunWorkload:
@@ -141,6 +160,44 @@ class TestRunWorkload:
         assert opt.subs < lit.subs
 
 
+class _Row(list):
+    """A distance row that weak references can follow."""
+
+
+class _LivePeak:
+    calls = 0
+    now = 0
+    live = 0
+
+    def freed(self):
+        self.now -= 1
+
+
+def track_live_rows(monkeypatch) -> _LivePeak:
+    """Make bench's trees hand out rows whose lifetimes can be watched;
+    the result records the calls and the most rows alive at one time."""
+    import polyroute.bench as bench
+
+    real = bench.shortest_path_tree
+    peak = _LivePeak()
+
+    def spt(g, s):
+        dm = real(g, s)
+        row = _Row(dm.dist)
+        weakref.finalize(row, peak.freed)
+        peak.calls += 1
+        peak.now += 1
+        peak.live = max(peak.live, peak.now)
+        return dataclasses.replace(dm, dist=row)
+
+    monkeypatch.setattr(bench, "shortest_path_tree", spt)
+    return peak
+
+
+def dijkstra_row(s: int, t: int, d) -> BenchRow:
+    return BenchRow("dijkstra", s, t, d, 0, 0, 0, 0, 0, 0, 0)
+
+
 class TestVerifyWorkload:
     def test_clean_report(self):
         g = generate_random_connected(50, 20, 1)
@@ -164,6 +221,38 @@ class TestVerifyWorkload:
         assert v["row"] == 4
         assert v["reported"] == bad.distance
         assert v["expected"] == bad.distance - 1
+
+    @pytest.mark.parametrize("what, value", [
+        ("target", 9), ("target", -1), ("source", 4), ("source", -1),
+    ])
+    def test_vertex_outside_graph(self, what, value):
+        g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+        rows = [dijkstra_row(0, 3, 3), dijkstra_row(1, 2, 1)]
+        rows[1] = dataclasses.replace(rows[1], **{what: value})
+        with pytest.raises(
+            ValueError, match=f"row 1: {what} {value} out of range \\[0,4\\)"
+        ):
+            verify_workload(g, rows)
+
+    def test_one_tree_at_a_time_violations_in_row_order(self, monkeypatch):
+        g = generate_grid(6, 6)
+        pairs = [(0, 35), (7, 20), (3, 14), (0, 9), (7, 8), (3, 3), (12, 1)]
+        rows = [dijkstra_row(s, t, dijkstra_query(g, s, t).distance)
+                for s, t in pairs]
+        for i in (3, 4, 5):  # later rows of sources first seen earlier
+            rows[i] = dataclasses.replace(rows[i], distance=rows[i].distance + 1)
+        peak = track_live_rows(monkeypatch)
+        report = verify_workload(g, rows)
+        assert [v["row"] for v in report.violations] == [3, 4, 5]
+        assert [v["expected"] for v in report.violations] == [4, 1, 0]
+        assert peak.calls == 4
+        assert peak.live <= 2
+
+    def test_no_vertex_cap(self):
+        g = generate_grid(71, 71)  # 5,041 vertices
+        rows = [dijkstra_row(0, 5040, 140), dijkstra_row(5040, 70, 70)]
+        report = verify_workload(g, rows)
+        assert report.ok and report.checked == 2
 
 
 class TestReportIO:

@@ -263,6 +263,24 @@ class TestBench:
         assert "violations: 1" in out
         assert "row 0" in out
 
+    @pytest.mark.parametrize("target", [9, -1])
+    def test_report_vertex_outside_graph(self, tmp_path, capsys, target):
+        gr = tmp_path / "p4.gr"
+        run(capsys, "gen", "--path", "4", "--out", str(gr))
+        rpt = tmp_path / "out.csv"
+        run(capsys, "bench", "--graph", str(gr), "--queries", "3",
+            "--landmarks", "1", "--out", str(rpt), "--methods", "dijkstra")
+        lines = rpt.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[2] = str(target)
+        lines[2] = ",".join(fields)
+        rpt.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "verify", "--graph", str(gr),
+                             "--report", str(rpt))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: row 1: target {target} out of range [0,4)\n"
+
     def test_stratified_workload_runs(self, tmp_path, capsys):
         gr = tmp_path / "r.gr"
         run(capsys, "gen", "--grid", "6x6", "--out", str(gr))

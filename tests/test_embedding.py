@@ -1,6 +1,7 @@
 """Landmark selection, embedding construction, accounting, serialization."""
 
 import io
+import os
 import random
 import struct
 
@@ -55,8 +56,10 @@ class TestLandmarkSet:
         assert bare == rich
         assert hash(bare) == hash(rich)
         assert repr(bare) == repr(rich)
-        assert bare.matrix == () and bare.graph is None
+        assert bare.matrix == () and bare.graph is None and bare.rows == []
+        assert LandmarkSet((0, 5), rows=[[0] * 6]) == bare
         assert select_random(p6, 2, 0).matrix == ()
+        assert select_random(p6, 2, 0).rows == []
 
 
 class TestSelectRandom:
@@ -160,6 +163,12 @@ class TestBuildAlt:
         with pytest.raises(ValueError, match="out of range"):
             build_alt_embedding(p6, LandmarkSet((0, 9)))
 
+    @pytest.mark.parametrize("rows", [[[0, 1, 2]], [[0] * 6] * 3])
+    def test_rows_must_fit(self, p6, rows):
+        L = LandmarkSet((0, 5), graph=p6, rows=rows)
+        with pytest.raises(ValueError, match="at most 2 rows of 6 entries"):
+            build_alt_embedding(p6, L)
+
 
 class TestBuildDistributed:
     def test_p6(self, p6):
@@ -255,7 +264,8 @@ MATRIX_GRAPHS = {
 
 
 class TestSelectorMatrixRows:
-    """Selectors hand on the matrix rows of their full trees."""
+    """Selectors hand on the matrix rows and the full distance rows of
+    their full trees."""
 
     @pytest.mark.parametrize("select", [select_farthest, select_avoid])
     @pytest.mark.parametrize("kind", sorted(MATRIX_GRAPHS))
@@ -271,18 +281,51 @@ class TestSelectorMatrixRows:
         assert repr(e.lmatrix) == repr(bare.lmatrix)
         assert lemb_bytes(e) == lemb_bytes(bare)
 
+    @pytest.mark.parametrize("select", [select_farthest, select_avoid])
+    @pytest.mark.parametrize("kind", sorted(MATRIX_GRAPHS))
+    def test_same_alt_embedding_as_bare_ids(self, select, kind):
+        g = MATRIX_GRAPHS[kind]()
+        L = select(g, 6, 3)
+        assert L.rows
+        e = build_alt_embedding(g, L)
+        assert L.rows == []
+        bare = build_alt_embedding(g, LandmarkSet(L.ids))
+        assert repr(e.table) == repr(bare.table)
+        assert repr(e.lmatrix) == repr(bare.lmatrix)
+        assert lemb_bytes(e) == lemb_bytes(bare)
+        # the hand-off happens once: a second build runs all k trees
+        with track_kernels() as kc:
+            again = build_alt_embedding(g, L)
+        assert kc.full_spt == 6
+        assert lemb_bytes(again) == lemb_bytes(e)
+
     @pytest.mark.parametrize(
         "select, rows, truncated", [(select_farthest, 4, 1), (select_avoid, 5, 0)]
     )
     def test_kernel_counts(self, select, rows, truncated):
         g = generate_grid(8, 8)
         L = select(g, 5, 2)
-        assert len(L.matrix) == rows
+        assert len(L.matrix) == len(L.rows) == rows
         with track_kernels() as kc:
             build_distributed_embedding(g, L)
         assert (kc.full_spt, kc.multi_source, kc.truncated_spt) == (
             0, 1, truncated,
         )
+        with track_kernels() as kc:
+            build_alt_embedding(g, L)
+        assert (kc.full_spt, kc.multi_source, kc.truncated_spt) == (
+            5 - rows, 0, 0,
+        )
+
+    def test_pipeline_kernel_counts(self):
+        # k trees in selection (the start and all landmarks but the
+        # last), one in the ALT build, one truncated run in the matrix
+        g = generate_grid(8, 8)
+        with track_kernels() as kc:
+            L = select_farthest(g, 5, 2)
+            build_alt_embedding(g, L)
+            build_distributed_embedding(g, L)
+        assert (kc.full_spt, kc.multi_source, kc.truncated_spt) == (6, 1, 1)
 
     def test_farthest_runs_no_extra_tree(self):
         g = generate_grid(8, 8)
@@ -297,9 +340,13 @@ class TestSelectorMatrixRows:
         L = select_farthest(g1, 5, 2)
         with track_kernels() as kc:
             e = build_distributed_embedding(g2, L)
-        assert kc.truncated_spt == 5
+            alt = build_alt_embedding(g2, L)
+        assert (kc.full_spt, kc.truncated_spt) == (5, 5)
         bare = build_distributed_embedding(g2, LandmarkSet(L.ids))
         assert repr(e.lmatrix) == repr(bare.lmatrix)
+        bare_alt = build_alt_embedding(g2, LandmarkSet(L.ids))
+        assert repr(alt.table) == repr(bare_alt.table)
+        assert len(L.rows) == 4  # still there for a build on g1
 
 
 class TestSpaceAccounting:
@@ -374,6 +421,35 @@ class TestSerialization:
         data = struct.pack("<4sBB2xQQ", b"LEMB", 1, kind, nv, k) + bytes(200)
         with pytest.raises(ValueError, match=f"declares {nv} vertices and {k}"):
             load_embedding(io.BytesIO(data))
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    @pytest.mark.parametrize("nv, k", [(6, 2**61), (2**40, 2)])
+    def test_header_counts_beyond_pipe(self, kind, nv, k):
+        data = struct.pack("<4sBB2xQQQQ", b"LEMB", 1, kind, nv, k, 0, 1)
+        data += bytes(200)
+        r, w = os.pipe()
+        os.write(w, data)
+        os.close(w)
+        with os.fdopen(r, "rb") as stream:
+            assert not stream.seekable()
+            with pytest.raises(ValueError, match="truncated in payload"):
+                load_embedding(stream)
+
+    def test_short_reads(self, p6):
+        # a raw stream may return fewer bytes than asked for
+        class Trickle(io.RawIOBase):
+            def __init__(self, data):
+                self.src = io.BytesIO(data)
+
+            def readable(self):
+                return True
+
+            def read(self, size=-1):
+                return self.src.read(min(size, 5))
+
+        for e in (build_alt_embedding(p6, LandmarkSet((0, 5))),
+                  build_distributed_embedding(p6, LandmarkSet((0, 5)))):
+            assert load_embedding(Trickle(lemb_bytes(e))) == e
 
     def test_deterministic_bytes(self, grid3):
         e = build_distributed_embedding(grid3, LandmarkSet((0, 8)))

@@ -1,6 +1,7 @@
 """Shortest-path kernels against the naive relaxation oracle."""
 
 import math
+import threading
 
 import pytest
 
@@ -209,6 +210,15 @@ class TestKernelCounters:
                 shortest_path_tree(p6, 1)
         assert outer.full_spt == 2
         assert inner.full_spt == 1
+
+    def test_other_threads_not_counted(self, p6):
+        with track_kernels() as kc:
+            worker = threading.Thread(target=shortest_path_tree, args=(p6, 0))
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            shortest_path_tree(p6, 1)
+        assert kc.full_spt == 1
 
     def test_no_counting_outside_block(self, p6):
         with track_kernels() as kc:
