@@ -51,7 +51,6 @@ from .heuristics import (
     classify_scenario,
     make_alp_evaluator,
     make_alt_evaluator,
-    zero_evaluator,
 )
 from .search import QueryResult, astar, dijkstra_query
 from .bench import (
@@ -84,7 +83,7 @@ __all__ = [
     "select_avoid", "select_farthest", "select_random", "space_accounting",
     "MODES", "SCENARIOS", "HeuristicEval", "OpCounters",
     "alp_components", "alp_dual_h", "alt_h", "classify_scenario",
-    "make_alp_evaluator", "make_alt_evaluator", "zero_evaluator",
+    "make_alp_evaluator", "make_alt_evaluator",
     "QueryResult", "astar", "dijkstra_query",
     "BenchError", "BenchRow", "CSV_HEADER", "VerificationReport",
     "WorkloadSpec", "emit_report", "format_summary", "generate_queries",

@@ -18,7 +18,7 @@ import csv
 import json
 import random
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from typing import Sequence, TextIO
@@ -312,37 +312,56 @@ def emit_report(rows: Sequence, format: str, sink: TextIO) -> None:
         raise ValueError(f"unknown report format {format!r}")
 
 
-def _parse_number(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+# What load_report accepts per field; bools are not ints here.
+_FIELD_TYPES = {
+    **{name: (int,) for name in CSV_HEADER},
+    "method": (str,),
+    "distance": (int, float),
+}
+
+
+def _parse_number(text):
+    """CSV text as an int, else a float, else unchanged."""
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except (TypeError, ValueError):
+            pass
+    return text
+
+
+def _report_row(i: int, rec, from_text: bool) -> BenchRow:
+    """Report record i as a BenchRow, each field of its _FIELD_TYPES.
+    CSV records hold text, which is parsed first; JSON records hold
+    values, which are taken as they are."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"row {i}: expected an object, got {rec!r}")
+    kwargs = {}
+    for name, kinds in _FIELD_TYPES.items():
+        if name not in rec:
+            raise ValueError(f"row {i}: missing field {name!r}")
+        value = rec[name]
+        if from_text and name != "method":
+            value = _parse_number(value)
+        if type(value) not in kinds:
+            want = " or ".join(t.__name__ for t in kinds)
+            raise ValueError(f"row {i}: {name} must be {want}, got {rec[name]!r}")
+        kwargs[name] = value
+    return BenchRow(**kwargs)
 
 
 def load_report(stream: TextIO, format: str) -> list:
     """Inverse of emit_report."""
-    int_fields = {
-        f.name for f in fields(BenchRow) if f.name not in ("method", "distance")
-    }
     if format == "csv":
         reader = csv.DictReader(stream)
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {reader.fieldnames}")
-        out = []
-        for rec in reader:
-            kwargs = {"method": rec["method"], "distance": _parse_number(rec["distance"])}
-            for name in int_fields:
-                kwargs[name] = int(rec[name])
-            out.append(BenchRow(**kwargs))
-        return out
+        return [_report_row(i, rec, True) for i, rec in enumerate(reader)]
     if format == "json":
-        out = []
-        for rec in json.load(stream):
-            kwargs = {"method": rec["method"], "distance": rec["distance"]}
-            for name in int_fields:
-                kwargs[name] = int(rec[name])
-            out.append(BenchRow(**kwargs))
-        return out
+        records = json.load(stream)
+        if not isinstance(records, list):
+            raise ValueError("JSON report must be a list of rows")
+        return [_report_row(i, rec, False) for i, rec in enumerate(records)]
     raise ValueError(f"unknown report format {format!r}")
 
 

@@ -288,10 +288,31 @@ def build_distributed_embedding(g: Graph, L: LandmarkSet) -> DistributedEmbeddin
 Embedding = Union[AltEmbedding, DistributedEmbedding]
 
 
+def _layout(kind: int, nv: int, k: int) -> list:
+    """What a kind stores after the header, in file order, as sections
+    (struct code, values per row, rows): the landmark ids, then the full
+    table's k rows of nv f64, or nv u64 owners and nv f64 owner
+    distances, then the k x k matrix. Repeat counts keep it O(1)."""
+    if kind == _KIND_FULL:
+        body = [("d", nv, k)]
+    else:
+        body = [("Q", nv, 1), ("d", nv, 1)]
+    return [("Q", k, 1), *body, ("d", k, k)]
+
+
+def _parts(e: Embedding) -> tuple:
+    """(kind, nv, the stored rows of each _layout section, in file order)."""
+    ids = [e.landmarks.ids]
+    if isinstance(e, AltEmbedding):
+        return _KIND_FULL, len(e.table[0]), [ids, e.table, e.lmatrix]
+    return (_KIND_DISTRIBUTED, len(e.owner),
+            [ids, [e.owner], [e.dist_to_owner], e.lmatrix])
+
+
 def check_embedding_fits(g: Graph, e: Embedding) -> None:
     """Raise ValueError unless e covers g's vertices and names landmarks
     inside g; a loaded file may have been built for another graph."""
-    nv = len(e.table[0]) if isinstance(e, AltEmbedding) else len(e.owner)
+    nv = _parts(e)[1]
     if nv != g.vertex_count:
         raise ValueError(
             f"embedding covers {nv} vertices but the graph has {g.vertex_count}"
@@ -304,54 +325,30 @@ def space_accounting(e: Embedding) -> tuple:
 
     Full embedding: |L|*|V| + |L|^2. Distributed: |V| + |L|^2.
     """
-    k = len(e.landmarks)
-    if isinstance(e, AltEmbedding):
-        stored = sum(len(row) for row in e.table)
-        formula = k * len(e.table[0]) + k * k
-    else:
-        stored = len(e.dist_to_owner)
-        formula = len(e.dist_to_owner) + k * k
-    stored += sum(len(row) for row in e.lmatrix)
+    kind, nv, blocks = _parts(e)
+    layout = _layout(kind, nv, len(e.landmarks))
+    stored = sum(
+        len(row)
+        for (code, _, _), rows in zip(layout, blocks) if code == "d"
+        for row in rows
+    )
+    formula = sum(per * count for code, per, count in layout if code == "d")
     return stored, formula
-
-
-def _num_list(values) -> list:
-    """float64 payload back to ints where the value is integral."""
-    out = []
-    for x in values:
-        out.append(int(x) if x.is_integer() else x)
-    return out
 
 
 def save_embedding(e: Embedding, stream: BinaryIO) -> None:
     """Versioned binary layout (all integers little-endian):
 
     magic "LEMB" | version u8 | kind u8 (1 full, 2 distributed) |
-    2 pad bytes | |V| u64 | |L| u64 | landmark ids |L| x u64 | payload.
-
-    Full payload: |L| distance rows of |V| f64, then |L|^2 matrix f64.
-    Distributed payload: |V| owner indices u64, |V| f64 distances, then
-    |L|^2 matrix f64. Distances are stored as f64; integral values are
-    restored to ints on load.
+    2 pad bytes | |V| u64 | |L| u64 | the sections _layout lists.
+    Integral distances are restored to ints on load.
     """
+    kind, nv, blocks = _parts(e)
     k = len(e.landmarks)
-    if isinstance(e, AltEmbedding):
-        kind = _KIND_FULL
-        nv = len(e.table[0])
-    else:
-        kind = _KIND_DISTRIBUTED
-        nv = len(e.dist_to_owner)
-    stream.write(struct.pack("<4sBB2x", _MAGIC, _VERSION, kind))
-    stream.write(struct.pack("<QQ", nv, k))
-    stream.write(struct.pack(f"<{k}Q", *e.landmarks.ids))
-    if isinstance(e, AltEmbedding):
-        for row in e.table:
-            stream.write(struct.pack(f"<{nv}d", *row))
-    else:
-        stream.write(struct.pack(f"<{nv}Q", *e.owner))
-        stream.write(struct.pack(f"<{nv}d", *e.dist_to_owner))
-    for row in e.lmatrix:
-        stream.write(struct.pack(f"<{k}d", *row))
+    stream.write(struct.pack("<4sBB2xQQ", _MAGIC, _VERSION, kind, nv, k))
+    for (code, per, _), rows in zip(_layout(kind, nv, k), blocks):
+        for row in rows:
+            stream.write(struct.pack(f"<{per}{code}", *row))
 
 
 def load_embedding(stream: BinaryIO) -> Embedding:
@@ -371,37 +368,40 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     nv, k = struct.unpack("<QQ", _read_exact(stream, 16))
     if kind not in (_KIND_FULL, _KIND_DISTRIBUTED):
         raise ValueError(f"unknown embedding kind {kind}")
-    # ids, then k rows of nv distances or nv owners plus nv distances,
-    # then the k x k matrix; 8 bytes per entry.
-    per_vertex = k if kind == _KIND_FULL else 2
-    need = 8 * (k + per_vertex * nv + k * k)
+    layout = _layout(kind, nv, k)
+    need = sum(struct.calcsize("<" + c) * per * rows for c, per, rows in layout)
     left = _bytes_left(stream)
     if left is not None and need > left:
         raise ValueError(
             f"embedding file truncated: header declares {nv} vertices and "
             f"{k} landmarks, {need} payload bytes, but only {left} follow"
         )
-    ids = struct.unpack(f"<{k}Q", _read_exact(stream, 8 * k))
+    [ids], *blocks = [_read_block(stream, *section) for section in layout]
     L = LandmarkSet(tuple(ids))
     if kind == _KIND_FULL:
-        table = [
-            _num_list(struct.unpack(f"<{nv}d", _read_exact(stream, 8 * nv)))
-            for _ in range(k)
-        ]
-        lmatrix = _read_matrix(stream, k)
-        return AltEmbedding(landmarks=L, table=table, lmatrix=lmatrix)
-    owner = list(struct.unpack(f"<{nv}Q", _read_exact(stream, 8 * nv)))
+        return AltEmbedding(L, *blocks)
+    [owner], [dist], lmatrix = blocks
     top = max(owner, default=0)
     if top >= k:
         raise ValueError(
             f"vertex {owner.index(top)} has owner index {top}, "
             f"but there are only {k} landmarks"
         )
-    dist = _num_list(struct.unpack(f"<{nv}d", _read_exact(stream, 8 * nv)))
-    lmatrix = _read_matrix(stream, k)
-    return DistributedEmbedding(
-        landmarks=L, owner=owner, dist_to_owner=dist, lmatrix=lmatrix
-    )
+    return DistributedEmbedding(L, owner, dist, lmatrix)
+
+
+def _read_block(stream: BinaryIO, code: str, per: int, rows: int) -> list:
+    """rows rows of per values of struct code; f64 values come back as
+    ints where integral."""
+    size = struct.calcsize("<" + code) * per
+    out = []
+    for _ in range(rows):
+        values = struct.unpack(f"<{per}{code}", _read_exact(stream, size))
+        if code == "d":
+            out.append([int(x) if x.is_integer() else x for x in values])
+        else:
+            out.append(list(values))
+    return out
 
 
 def _bytes_left(stream: BinaryIO) -> "int | None":
@@ -412,13 +412,6 @@ def _bytes_left(stream: BinaryIO) -> "int | None":
     end = stream.seek(0, io.SEEK_END)
     stream.seek(pos)
     return end - pos
-
-
-def _read_matrix(stream: BinaryIO, k: int) -> list:
-    return [
-        _num_list(struct.unpack(f"<{k}d", _read_exact(stream, 8 * k)))
-        for _ in range(k)
-    ]
 
 
 _READ_PIECE = 1 << 20

@@ -248,12 +248,31 @@ def load_edge_list(stream: "TextIO | str") -> Graph:
         except ValueError:
             raise GraphError(f"line {lineno}: bad vertex id") from None
         w = _parse_weight(parts[2], f"line {lineno}") if len(parts) == 3 else 1
-        edges.append((u, v, w))
+        edges.append((lineno, (u, v, w)))
     if n < 0:
         raise GraphError("missing vertex-count header")
-    g = build_graph(n, edges)
+    g = _build_numbered(n, edges)
     _require_connected(g, "edge-list input")
     return g
+
+
+def _build_numbered(n: int, numbered: list) -> Graph:
+    """build_graph over (line number, edge) pairs; an error that build_graph
+    raises while taking an edge names that edge's line."""
+    lineno = None
+
+    def edges():
+        nonlocal lineno
+        for lineno, edge in numbered:
+            yield edge
+        lineno = None
+
+    try:
+        return build_graph(n, edges())
+    except GraphError as exc:
+        if lineno is None:
+            raise
+        raise GraphError(f"line {lineno}: {exc}") from None
 
 
 def _require_connected(g: Graph, what: str) -> None:

@@ -91,6 +91,7 @@ class HeuristicEval:
 
 # Lightweight evaluator protocol used by the search engine: returns
 # (value, subtractions, multiplications, divisions, arity) per call.
+# astar(g, s, t, None) takes no evaluator and is plain Dijkstra.
 Evaluator = Callable[[int, int], tuple]
 
 
@@ -200,11 +201,6 @@ def classify_scenario(
     if la == l2:
         return "S2"
     return "S5"
-
-
-def zero_evaluator(v: int, t: int) -> tuple:
-    """h = 0 everywhere; degenerates the guided search to plain Dijkstra."""
-    return 0, 0, 0, 0, 0
 
 
 def _packed_columns(table: list) -> "list | None":

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import json
 import weakref
 
 import pytest
@@ -295,6 +296,54 @@ class TestReportIO:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_report([], "xml", io.StringIO())
+
+    def _json_records(self):
+        sink = io.StringIO()
+        emit_report(self._rows()[:2], "json", sink)
+        return json.loads(sink.getvalue())
+
+    @pytest.mark.parametrize("name, value, shown", [
+        ("source", 1.9, "1.9"),
+        ("target", True, "True"),
+        ("settled", "3", "'3'"),
+        ("wall_time_ns", None, "None"),
+        ("distance", False, "False"),
+        ("method", 1, "1"),
+    ])
+    def test_json_field_of_wrong_type_rejected(self, name, value, shown):
+        records = self._json_records()
+        records[1][name] = value
+        with pytest.raises(ValueError, match=rf"^row 1: {name} must be .*, got {shown}$"):
+            load_report(io.StringIO(json.dumps(records)), "json")
+
+    def test_json_missing_field_rejected(self):
+        records = self._json_records()
+        del records[0]["s3"]
+        with pytest.raises(ValueError, match="^row 0: missing field 's3'$"):
+            load_report(io.StringIO(json.dumps(records)), "json")
+
+    @pytest.mark.parametrize("text", ['{"rows": []}', "[3]"])
+    def test_json_not_a_list_of_rows_rejected(self, text):
+        with pytest.raises(ValueError, match="list of rows|row 0: expected an object"):
+            load_report(io.StringIO(text), "json")
+
+    @pytest.mark.parametrize("name, value", [
+        ("source", "1.9"), ("target", "x"), ("distance", "x"), ("s5", ""),
+    ])
+    def test_csv_field_of_wrong_type_rejected(self, name, value):
+        sink = io.StringIO()
+        emit_report(self._rows()[:2], "csv", sink)
+        lines = sink.getvalue().splitlines()
+        cells = lines[1].split(",")
+        cells[CSV_HEADER.index(name)] = value
+        lines[1] = ",".join(cells)
+        with pytest.raises(ValueError, match=rf"^row 0: {name} must be .*, got '{value}'$"):
+            load_report(io.StringIO("\n".join(lines) + "\n"), "csv")
+
+    def test_csv_short_row_rejected(self):
+        text = ",".join(CSV_HEADER) + "\nalt,1,2\n"
+        with pytest.raises(ValueError, match="^row 0: distance must be int or float"):
+            load_report(io.StringIO(text), "csv")
 
 
 class TestSummarize:

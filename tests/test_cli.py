@@ -1,5 +1,6 @@
 """Command-line surface, exercised in-process through cli.main."""
 
+import json
 import struct
 
 import pytest
@@ -280,6 +281,25 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert err == f"error: row 1: target {target} out of range [0,4)\n"
+
+    @pytest.mark.parametrize("name, value, shown", [
+        ("source", 1.9, "1.9"), ("target", True, "True"),
+    ])
+    def test_json_report_non_int_vertex(self, tmp_path, capsys, name, value, shown):
+        gr = tmp_path / "p4.gr"
+        run(capsys, "gen", "--path", "4", "--out", str(gr))
+        rpt = tmp_path / "out.json"
+        run(capsys, "bench", "--graph", str(gr), "--queries", "3",
+            "--landmarks", "1", "--format", "json", "--out", str(rpt),
+            "--methods", "dijkstra")
+        records = json.loads(rpt.read_text())
+        records[1][name] = value
+        rpt.write_text(json.dumps(records))
+        code, out, err = run(capsys, "verify", "--graph", str(gr),
+                             "--report", str(rpt))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: row 1: {name} must be int, got {shown}\n"
 
     def test_stratified_workload_runs(self, tmp_path, capsys):
         gr = tmp_path / "r.gr"

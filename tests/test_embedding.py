@@ -1,14 +1,19 @@
 """Landmark selection, embedding construction, accounting, serialization."""
 
+import dataclasses
+import hashlib
 import io
+import math
 import os
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyroute import (
     AltEmbedding,
+    DistributedEmbedding,
     LandmarkSet,
     all_pairs_oracle,
     build_alt_embedding,
@@ -457,6 +462,87 @@ class TestSerialization:
         save_embedding(e, a)
         save_embedding(e, b)
         assert a.getvalue() == b.getvalue()
+
+
+# Non-integral floats only: an integral f64 loads back as an int.
+lemb_values = st.one_of(
+    st.integers(0, 2**53),
+    st.integers(2**53 - 64, 2**53),
+    st.integers(0, 2**20).filter(lambda n: n % 8).map(lambda n: n / 8),
+    st.integers(0, 10**6).filter(lambda n: n % 10).map(lambda n: n / 10),
+    st.integers(1, 64).map(lambda j: 2.0**52 - j - 0.5),
+    st.just(math.inf),
+)
+
+
+@st.composite
+def lemb_embeddings(draw):
+    ids = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4,
+                        unique=True))
+    k, nv = len(ids), draw(st.integers(1, 6))
+    rows = lambda count, per: [
+        draw(st.lists(lemb_values, min_size=per, max_size=per))
+        for _ in range(count)
+    ]
+    L, lmatrix = LandmarkSet(tuple(ids)), rows(k, k)
+    if draw(st.booleans()):
+        return AltEmbedding(L, rows(k, nv), lmatrix)
+    owner = draw(st.lists(st.integers(0, k - 1), min_size=nv, max_size=nv))
+    return DistributedEmbedding(L, owner, rows(1, nv)[0], lmatrix)
+
+
+def stored_fields(e):
+    """Every stored value, with its type showing in the repr."""
+    return repr([getattr(e, f.name) for f in dataclasses.fields(e)])
+
+
+class TestLembLayout:
+    """The v1 bytes and values that save_embedding and load_embedding
+    must keep."""
+
+    def golden(self):
+        alt = build_alt_embedding(
+            build_graph(5, [(0, 1, 1), (1, 2, 0.375), (3, 4, 2.5)]),
+            LandmarkSet((0, 3)),
+        )
+        assert alt.table == [[0, 1, 1.375, math.inf, math.inf],
+                             [math.inf, math.inf, math.inf, 0, 2.5]]
+        g = build_graph(6, [(0, 1, 1), (1, 2, 0.125), (2, 3, 2), (3, 4, 0.75),
+                            (4, 5, 3)])
+        alp = build_distributed_embedding(g, LandmarkSet((5, 0)))
+        assert alp.dist_to_owner == [0, 1, 1.125, 3.125, 3, 0]
+        return alt, alp
+
+    def test_golden_bytes(self):
+        alt, alp = self.golden()
+        a, d = lemb_bytes(alt), lemb_bytes(alp)
+        assert (len(a), hashlib.sha256(a).hexdigest()) == (
+            152, "6baa74220b1ab5067a36a73372d59a333fd4ec065fd7f901f1c72f993ec4ece7")
+        assert (len(d), hashlib.sha256(d).hexdigest()) == (
+            168, "140d38642f732cf57e7affa8cb1a1b5511610709c542f892b2d8039a34736241")
+
+    @settings(deadline=None, max_examples=150)
+    @given(lemb_embeddings())
+    def test_round_trip_keeps_values_and_bytes(self, e):
+        data = lemb_bytes(e)
+        back = load_embedding(io.BytesIO(data))
+        assert type(back) is type(e)
+        assert back == e
+        assert stored_fields(back) == stored_fields(e)
+        assert lemb_bytes(back) == data
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_every_truncation_fails(self, which):
+        data = lemb_bytes(self.golden()[which])
+        for cut in range(len(data)):
+            with pytest.raises(ValueError, match="truncated"):
+                load_embedding(io.BytesIO(data[:cut]))
+            r, w = os.pipe()
+            os.write(w, data[:cut])
+            os.close(w)
+            with os.fdopen(r, "rb") as pipe:
+                with pytest.raises(ValueError, match="truncated"):
+                    load_embedding(pipe)
 
 
 class TestEmbeddingFits:

@@ -156,6 +156,29 @@ class TestEdgeList:
         with pytest.raises(GraphError, match="not connected"):
             load_edge_list("4\n0 1\n")
 
+    # Header on line 1, a comment on line 2, the faulty edge on line 4.
+    def test_self_loop_names_line(self):
+        with pytest.raises(GraphError, match=r"^line 4: self-loop at vertex 1$"):
+            load_edge_list("3\n# c\n0 1\n1 1\n")
+
+    def test_out_of_range_endpoint_names_line(self):
+        with pytest.raises(GraphError, match=r"^line 4: edge \(1,3\) endpoint out"):
+            load_edge_list("3\n# c\n0 1\n1 3\n")
+
+    @pytest.mark.parametrize("weight", ["0", "-2", "-0.5"])
+    def test_nonpositive_weight_names_line(self, weight):
+        with pytest.raises(GraphError, match=r"^line 4: edge \(1,2\) has nonpositive"):
+            load_edge_list(f"3\n# c\n0 1\n1 2 {weight}\n")
+
+    def test_duplicate_edge_names_line(self):
+        with pytest.raises(GraphError, match=r"^line 5: duplicate edge \(2,1\)$"):
+            load_edge_list("3\n# c\n0 1\n1 2\n2 1\n")
+
+    def test_graph_wide_error_names_no_line(self):
+        # the mix of a huge int and a float is a fault of no single line
+        with pytest.raises(GraphError, match=r"^edge \(1,2\) has int weight"):
+            load_edge_list(f"3\n0 1 0.5\n1 2 {2**53}\n")
+
 
 class TestGenerateGrid:
     def test_degenerate_grid_is_path(self, p6):

@@ -18,8 +18,13 @@ from polyroute import (
     make_alp_evaluator,
     make_alt_evaluator,
     select_random,
-    zero_evaluator,
 )
+
+
+def zero_evaluator(v, t):
+    """h = 0 everywhere, counted as an evaluation: a guided search that
+    must replay Dijkstra."""
+    return 0, 0, 0, 0, 0
 
 
 def path_cost(g, path):
