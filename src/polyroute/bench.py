@@ -18,7 +18,7 @@ import csv
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import itemgetter
 from typing import Sequence, TextIO
@@ -40,14 +40,6 @@ from .sssp import shortest_path_tree
 
 METHODS = ("dijkstra", "alt", "alp")
 STRATIFICATIONS = ("none", "by-distance-decile")
-
-CSV_HEADER = (
-    "method", "source", "target", "distance",
-    "settled", "expanded", "reopened", "heuristic_evals",
-    "subs", "muls", "divs",
-    "s1", "s2", "s3", "s4", "s5",
-    "wall_time_ns",
-)
 
 
 class BenchError(RuntimeError):
@@ -73,7 +65,9 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One (method, query) outcome; field names match CSV_HEADER."""
+    """One (method, query) outcome. This is the report schema: the fields,
+    in order, are the CSV and JSON columns, and their annotations say
+    what load_report accepts."""
 
     method: str
     source: int
@@ -94,6 +88,14 @@ class BenchRow:
     wall_time_ns: int = 0
 
 
+CSV_HEADER = tuple(f.name for f in fields(BenchRow))
+# The scenario columns s1..s5, in SCENARIOS order.
+_SCENARIO_FIELDS = tuple(s.lower() for s in SCENARIOS)
+# The per-query counters that summarize averages.
+_COUNTERS = ("settled", "expanded", "reopened", "heuristic_evals",
+             "subs", "muls", "divs")
+
+
 def generate_queries(g: Graph, spec: WorkloadSpec) -> list:
     """Deterministic (source, target) pairs; source != target unless the
     graph has a single vertex.
@@ -108,15 +110,15 @@ def generate_queries(g: Graph, spec: WorkloadSpec) -> list:
     if n == 1:
         return [(0, 0)] * spec.query_count
     if spec.stratification == "none":
-        out = []
-        for _ in range(spec.query_count):
-            s = rng.randrange(n)
-            t = rng.randrange(n - 1)
-            if t >= s:
-                t += 1
-            out.append((s, t))
-        return out
+        return [_draw_pair(rng, n) for _ in range(spec.query_count)]
     return _stratified_queries(g, spec, rng)
+
+
+def _draw_pair(rng, n: int) -> tuple:
+    """A uniform (source, target) pair with source != target."""
+    s = rng.randrange(n)
+    t = rng.randrange(n - 1)
+    return s, t + (t >= s)
 
 
 def _stratified_queries(g: Graph, spec: WorkloadSpec, rng) -> list:
@@ -127,11 +129,7 @@ def _stratified_queries(g: Graph, spec: WorkloadSpec, rng) -> list:
         want = min(20 * spec.query_count, n * (n - 1))
         seen = set()
         while len(seen) < want:
-            s = rng.randrange(n)
-            t = rng.randrange(n - 1)
-            if t >= s:
-                t += 1
-            seen.add((s, t))
+            seen.add(_draw_pair(rng, n))
         pool = sorted(seen)
     # The pool is sorted by source: one tree per source, dropped after
     # its targets are read.
@@ -230,20 +228,12 @@ def _tallying(h, alt_e, alp_e, hist: list):
 
 
 def _to_row(method: str, res: QueryResult, hist: list, wall: int) -> BenchRow:
+    ops = res.op_totals
     return BenchRow(
-        method=method,
-        source=res.source,
-        target=res.target,
-        distance=res.distance,
-        settled=res.settled,
-        expanded=res.expanded,
-        reopened=res.reopened,
-        heuristic_evals=res.heuristic_evals,
-        subs=res.op_totals.subtractions,
-        muls=res.op_totals.multiplications,
-        divs=res.op_totals.divisions,
-        s1=hist[0], s2=hist[1], s3=hist[2], s4=hist[3], s5=hist[4],
-        wall_time_ns=wall,
+        method, res.source, res.target, res.distance,
+        res.settled, res.expanded, res.reopened, res.heuristic_evals,
+        ops.subtractions, ops.multiplications, ops.divisions,
+        **dict(zip(_SCENARIO_FIELDS, hist)), wall_time_ns=wall,
     )
 
 
@@ -312,12 +302,10 @@ def emit_report(rows: Sequence, format: str, sink: TextIO) -> None:
         raise ValueError(f"unknown report format {format!r}")
 
 
-# What load_report accepts per field; bools are not ints here.
-_FIELD_TYPES = {
-    **{name: (int,) for name in CSV_HEADER},
-    "method": (str,),
-    "distance": (int, float),
-}
+# What load_report accepts per field, keyed by the field's annotation,
+# a string since annotations are postponed; bools are not ints here.
+_ACCEPTS = {"int": (int,), "float": (int, float), "str": (str,)}
+_FIELD_TYPES = {f.name: _ACCEPTS[f.type] for f in fields(BenchRow)}
 
 
 def _parse_number(text):
@@ -341,7 +329,7 @@ def _report_row(i: int, rec, from_text: bool) -> BenchRow:
         if name not in rec:
             raise ValueError(f"row {i}: missing field {name!r}")
         value = rec[name]
-        if from_text and name != "method":
+        if from_text and str not in kinds:
             value = _parse_number(value)
         if type(value) not in kinds:
             want = " or ".join(t.__name__ for t in kinds)
@@ -374,20 +362,13 @@ def summarize(rows: Sequence) -> dict:
     out = {}
     for method, rs in groups.items():
         n = len(rs)
-        stats = {
-            "queries": n,
-            "mean_settled": sum(r.settled for r in rs) / n,
-            "mean_expanded": sum(r.expanded for r in rs) / n,
-            "mean_reopened": sum(r.reopened for r in rs) / n,
-            "mean_heuristic_evals": sum(r.heuristic_evals for r in rs) / n,
-            "mean_subs": sum(r.subs for r in rs) / n,
-            "mean_muls": sum(r.muls for r in rs) / n,
-            "mean_divs": sum(r.divs for r in rs) / n,
-            "mean_arith_total": sum(r.subs + r.muls + r.divs for r in rs) / n,
-        }
+        stats = {"queries": n}
+        for name in _COUNTERS:
+            stats[f"mean_{name}"] = sum(getattr(r, name) for r in rs) / n
+        stats["mean_arith_total"] = sum(r.subs + r.muls + r.divs for r in rs) / n
         if method == "alp":
-            for key in ("s1", "s2", "s3", "s4", "s5"):
-                stats[f"total_{key}"] = sum(getattr(r, key) for r in rs)
+            for name in _SCENARIO_FIELDS:
+                stats[f"total_{name}"] = sum(getattr(r, name) for r in rs)
         out[method] = stats
     return out
 
@@ -410,10 +391,8 @@ def format_summary(summary: dict) -> str:
             )
         )
         if "total_s1" in stats:
-            lines.append(
-                "  scenarios: S1={} S2={} S3={} S4={} S5={}".format(
-                    stats["total_s1"], stats["total_s2"], stats["total_s3"],
-                    stats["total_s4"], stats["total_s5"],
-                )
-            )
+            lines.append("  scenarios: " + " ".join(
+                f"{label}={stats['total_' + name]}"
+                for label, name in zip(SCENARIOS, _SCENARIO_FIELDS)
+            ))
     return "\n".join(lines)

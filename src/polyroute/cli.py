@@ -19,6 +19,8 @@ import argparse
 import sys
 
 from .bench import (
+    METHODS,
+    STRATIFICATIONS,
     BenchError,
     WorkloadSpec,
     emit_report,
@@ -60,6 +62,12 @@ _SELECTORS = {
     "random": select_random,
     "farthest": select_farthest,
     "avoid": select_avoid,
+}
+
+# Each embedding method: the type a loaded file must have, and its builder.
+_EMBEDDINGS = {
+    "alt": (AltEmbedding, build_alt_embedding),
+    "alp": (DistributedEmbedding, build_distributed_embedding),
 }
 
 
@@ -128,14 +136,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "preprocess", parents=[common, landmarks],
         help="build and serialize an embedding",
     )
-    pre.add_argument("--method", choices=("alt", "alp"), required=True)
+    pre.add_argument("--method", choices=tuple(_EMBEDDINGS), required=True)
     pre.add_argument("--out", help="embedding output file")
 
     q = sub.add_parser(
         "query", parents=[common, landmarks, tuning],
         help="answer one source-target query",
     )
-    q.add_argument("--method", choices=("dijkstra", "alt", "alp"), required=True)
+    q.add_argument("--method", choices=METHODS, required=True)
     q.add_argument("--source", type=int, required=True)
     q.add_argument("--target", type=int, required=True)
     q.add_argument("--embedding", help="serialized embedding (skips selection)")
@@ -144,11 +152,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench", parents=[common, landmarks, tuning],
         help="run a workload and write a report",
     )
-    b.add_argument("--methods", default="dijkstra,alt,alp",
-                   help="comma-separated subset of dijkstra,alt,alp")
+    b.add_argument("--methods", default=",".join(METHODS),
+                   help=f"comma-separated subset of {','.join(METHODS)}")
     b.add_argument("--queries", type=int, default=100)
-    b.add_argument("--stratify", choices=("none", "by-distance-decile"),
-                   default="none")
+    b.add_argument("--stratify", choices=STRATIFICATIONS,
+                   default=STRATIFICATIONS[0])
     b.add_argument("--format", choices=("csv", "json"), default="csv")
     b.add_argument("--out", required=True, help="report output file")
     b.add_argument("--timing", action="store_true",
@@ -192,11 +200,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     g = load_graph_file(args.graph)
+    _, build = _EMBEDDINGS[args.method]
     L = _select_landmarks(g, args)
-    if args.method == "alt":
-        e = build_alt_embedding(g, L)
-    else:
-        e = build_distributed_embedding(g, L)
+    e = build(g, L)
     stored, formula = space_accounting(e)
     if stored != formula:
         raise RuntimeError(f"entry count {stored} != formula {formula}")
@@ -210,20 +216,17 @@ def _cmd_preprocess(args) -> int:
 
 
 def _load_or_build_embedding(g: Graph, args):
-    if args.embedding:
-        with open(args.embedding, "rb") as fh:
-            e = load_embedding(fh)
-        want = AltEmbedding if args.method == "alt" else DistributedEmbedding
-        if not isinstance(e, want):
-            raise ValueError(
-                f"embedding in {args.embedding} does not match method {args.method}"
-            )
-        check_embedding_fits(g, e)
-        return e
-    L = _select_landmarks(g, args)
-    if args.method == "alt":
-        return build_alt_embedding(g, L)
-    return build_distributed_embedding(g, L)
+    kind, build = _EMBEDDINGS[args.method]
+    if not args.embedding:
+        return build(g, _select_landmarks(g, args))
+    with open(args.embedding, "rb") as fh:
+        e = load_embedding(fh)
+    if not isinstance(e, kind):
+        raise ValueError(
+            f"embedding in {args.embedding} does not match method {args.method}"
+        )
+    check_embedding_fits(g, e)
+    return e
 
 
 def _cmd_query(args) -> int:

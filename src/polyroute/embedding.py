@@ -18,10 +18,11 @@ smaller landmark index.
 from __future__ import annotations
 
 import io
+import math
 import random
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Sequence, Union
+from typing import BinaryIO, Union
 
 from .graph import Graph
 from .sssp import (
@@ -290,14 +291,14 @@ Embedding = Union[AltEmbedding, DistributedEmbedding]
 
 def _layout(kind: int, nv: int, k: int) -> list:
     """What a kind stores after the header, in file order, as sections
-    (struct code, values per row, rows): the landmark ids, then the full
-    table's k rows of nv f64, or nv u64 owners and nv f64 owner
+    (name, struct code, values per row, rows): the landmark ids, then the
+    full table's k rows of nv f64, or nv u64 owners and nv f64 owner
     distances, then the k x k matrix. Repeat counts keep it O(1)."""
     if kind == _KIND_FULL:
-        body = [("d", nv, k)]
+        body = [("distance table", "d", nv, k)]
     else:
-        body = [("Q", nv, 1), ("d", nv, 1)]
-    return [("Q", k, 1), *body, ("d", k, k)]
+        body = [("owner indices", "Q", nv, 1), ("owner distances", "d", nv, 1)]
+    return [("landmark ids", "Q", k, 1), *body, ("landmark matrix", "d", k, k)]
 
 
 def _parts(e: Embedding) -> tuple:
@@ -329,10 +330,10 @@ def space_accounting(e: Embedding) -> tuple:
     layout = _layout(kind, nv, len(e.landmarks))
     stored = sum(
         len(row)
-        for (code, _, _), rows in zip(layout, blocks) if code == "d"
+        for (_, code, _, _), rows in zip(layout, blocks) if code == "d"
         for row in rows
     )
-    formula = sum(per * count for code, per, count in layout if code == "d")
+    formula = sum(per * count for _, code, per, count in layout if code == "d")
     return stored, formula
 
 
@@ -346,7 +347,7 @@ def save_embedding(e: Embedding, stream: BinaryIO) -> None:
     kind, nv, blocks = _parts(e)
     k = len(e.landmarks)
     stream.write(struct.pack("<4sBB2xQQ", _MAGIC, _VERSION, kind, nv, k))
-    for (code, per, _), rows in zip(_layout(kind, nv, k), blocks):
+    for (_, code, per, _), rows in zip(_layout(kind, nv, k), blocks):
         for row in rows:
             stream.write(struct.pack(f"<{per}{code}", *row))
 
@@ -357,7 +358,8 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     On a seekable stream the counts in the header are checked against
     the bytes that follow before any payload is read; on any stream the
     payload is read in bounded pieces. Either way a corrupt count fails
-    with ValueError instead of a huge read.
+    with ValueError instead of a huge read. Bytes after the payload, and
+    a NaN or negative stored distance, fail with ValueError too.
     """
     head = _read_exact(stream, 8, "header")
     magic, version, kind = struct.unpack("<4sBB2x", head)
@@ -369,14 +371,20 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     if kind not in (_KIND_FULL, _KIND_DISTRIBUTED):
         raise ValueError(f"unknown embedding kind {kind}")
     layout = _layout(kind, nv, k)
-    need = sum(struct.calcsize("<" + c) * per * rows for c, per, rows in layout)
+    need = sum(struct.calcsize("<" + c) * per * rows for _, c, per, rows in layout)
     left = _bytes_left(stream)
     if left is not None and need > left:
         raise ValueError(
             f"embedding file truncated: header declares {nv} vertices and "
             f"{k} landmarks, {need} payload bytes, but only {left} follow"
         )
+    if left is not None and need < left:
+        raise ValueError(
+            f"embedding file has {left - need} bytes after the payload"
+        )
     [ids], *blocks = [_read_block(stream, *section) for section in layout]
+    if left is None and stream.read(1):
+        raise ValueError("embedding file has bytes after the payload")
     L = LandmarkSet(tuple(ids))
     if kind == _KIND_FULL:
         return AltEmbedding(L, *blocks)
@@ -390,14 +398,30 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     return DistributedEmbedding(L, owner, dist, lmatrix)
 
 
-def _read_block(stream: BinaryIO, code: str, per: int, rows: int) -> list:
-    """rows rows of per values of struct code; f64 values come back as
-    ints where integral."""
+_SIGN_CLEAR = bytes(range(0x80))  # last bytes of f64 values with sign 0
+
+
+def _read_block(stream: BinaryIO, name: str, code: str, per: int,
+                rows: int) -> list:
+    """rows rows of per values of struct code; f64 values are distances,
+    so a NaN or a value with its sign bit set (negative, or -0.0) fails,
+    and they come back as ints where integral."""
     size = struct.calcsize("<" + code) * per
     out = []
     for _ in range(rows):
-        values = struct.unpack(f"<{per}{code}", _read_exact(stream, size))
+        raw = _read_exact(stream, size)
+        values = struct.unpack(f"<{per}{code}", raw)
         if code == "d":
+            # Byte 7 of a little-endian f64 holds the sign bit and the top
+            # exponent bits. Only a value whose byte 7 is 0x7f can be NaN
+            # (or inf, or above 2**1008), so only such a row is summed.
+            top = raw[7::8]
+            if top.translate(None, _SIGN_CLEAR) or (
+                b"\x7f" in top and math.isnan(sum(values))
+            ):
+                raise ValueError(
+                    f"embedding file has a NaN or negative value in the {name}"
+                )
             out.append([int(x) if x.is_integer() else x for x in values])
         else:
             out.append(list(values))

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
 VertexId = int
-Weight = "int | float"
 
 
 class GraphError(ValueError):
@@ -240,6 +239,8 @@ def load_edge_list(stream: "TextIO | str") -> Graph:
                 n = int(parts[0])
             except ValueError:
                 raise GraphError(f"line {lineno}: bad vertex count") from None
+            if n < 0:
+                raise GraphError(f"line {lineno}: negative vertex count")
             continue
         if len(parts) not in (2, 3):
             raise GraphError(f"line {lineno}: expected 'u v [w]'")

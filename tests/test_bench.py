@@ -1,6 +1,7 @@
 """Workload generation, measurement rows, verification, report IO."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import weakref
@@ -22,11 +23,14 @@ from polyroute import (
     generate_random_connected,
     load_report,
     run_workload,
+    save_dimacs,
+    select_avoid,
     select_farthest,
     select_random,
     summarize,
     verify_workload,
 )
+from polyroute.cli import main
 
 
 class TestGenerateQueries:
@@ -376,3 +380,54 @@ class TestSummarize:
         g = generate_random_connected(20, 8, 9)
         L = select_random(g, 2, 9)
         return run_workload(g, L, [(0, 19), (3, 11)])
+
+
+class TestGoldenReports:
+    """Every text a workload's report yields, pinned by SHA-256: the CSV
+    and JSON reports, the summary block and the CLI's verify output."""
+
+    GOLDEN = {
+        "farthest": {
+            "csv": "175f0b723ecf7b93c7631716e51d81c444ec34c531a32e964989be36facc3006",
+            "json": "88940629a66b3bd68c68531deb9b260868f9c47147ddedb7a7e0043b13a0ab15",
+            "summary": "06e9db6b33cacbcba0e99a2f14794de3207230a1a380fb2f06653cef25e8c365",
+            "verify": "3de6a8dc453af9613e8b592153c117cf25d14669042176012b1be5fbb502f777",
+        },
+        "avoid": {
+            "csv": "01ea98b29cfddde0b146d2e8db86f2dc2b0675c94f86555dd89308bdc6970777",
+            "json": "4b4240ac5293ef27e2a4298c4926af16ab5240a14e933566ebaf6117d32a19af",
+            "summary": "5aca5d9adffeb3f38afbe855c6a657e495ffa5764a8d752b0567bf00dc84ae0e",
+            "verify": "2f0341734d125ccbc6f3d02004078d098a592e79904cf3107a9ac8025017638d",
+        },
+    }
+
+    @pytest.mark.parametrize("strategy, select, stratification", [
+        ("farthest", select_farthest, "none"),
+        ("avoid", select_avoid, "by-distance-decile"),
+    ])
+    def test_report_texts(self, tmp_path, capsys, strategy, select,
+                          stratification):
+        # weights in eighths, so reports carry float distances exactly
+        base = generate_random_connected(120, 60, 5)
+        g = build_graph(120, [(u, v, 1 + (7 * u + v) % 13 / 8)
+                              for u, v, _ in base.edges()])
+        spec = WorkloadSpec(30, seed=5, stratification=stratification)
+        rows = run_workload(g, select(g, 5, 5), generate_queries(g, spec))
+        texts = {}
+        for fmt in ("csv", "json"):
+            sink = io.StringIO()
+            emit_report(rows, fmt, sink)
+            texts[fmt] = sink.getvalue()
+        texts["summary"] = format_summary(summarize(rows))
+        # one wrong row, so verify prints a violation line too
+        rows[7] = dataclasses.replace(rows[7], distance=rows[7].distance + 0.5)
+        graph, report = tmp_path / "g.gr", tmp_path / "r.json"
+        with open(graph, "w", encoding="ascii") as fh:
+            save_dimacs(g, fh)
+        with open(report, "w", encoding="ascii") as fh:
+            emit_report(rows, "json", fh)
+        assert main(["verify", "--graph", str(graph), "--report", str(report)]) == 1
+        texts["verify"] = capsys.readouterr().out
+        digests = {name: hashlib.sha256(text.encode()).hexdigest()
+                   for name, text in texts.items()}
+        assert digests == self.GOLDEN[strategy]

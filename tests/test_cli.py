@@ -1,6 +1,7 @@
 """Command-line surface, exercised in-process through cli.main."""
 
 import json
+import math
 import struct
 
 import pytest
@@ -132,6 +133,26 @@ class TestPreprocess:
         assert err == "error: vertex 1 has owner index 7, " \
             "but there are only 2 landmarks\n"
 
+
+    @pytest.mark.parametrize("at, patch, message", [
+        (168, b"garbage", "embedding file has 7 bytes after the payload"),
+        # header 24 bytes, two landmark ids, six u64 owners, then distances
+        (88, struct.pack("<d", math.nan),
+         "embedding file has a NaN or negative value in the owner distances"),
+    ], ids=["bytes-after-payload", "nan-distance"])
+    def test_embedding_payload_corrupt(self, p6_file, tmp_path, capsys, at,
+                                       patch, message):
+        emb = tmp_path / "p6.lemb"
+        run(capsys, "preprocess", "--graph", p6_file, "--method", "alp",
+            "--landmarks", "2", "--out", str(emb))
+        data = emb.read_bytes()
+        emb.write_bytes(data[:at] + patch + data[at + 8:])
+        code, out, err = run(capsys, "query", "--graph", p6_file,
+                             "--method", "alp", "--embedding", str(emb),
+                             "--source", "1", "--target", "4")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_embedding_header_counts_beyond_file(self, p6_file, tmp_path,
                                                  capsys):

@@ -257,6 +257,20 @@ def lemb_bytes(e) -> bytes:
     return buf.getvalue()
 
 
+class Trickle(io.RawIOBase):
+    """A stream that cannot seek and returns at most 5 bytes per read, as
+    a raw stream may return fewer bytes than asked for."""
+
+    def __init__(self, data):
+        self.src = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def read(self, size=-1):
+        return self.src.read(min(size, 5))
+
+
 MATRIX_GRAPHS = {
     "int-random": lambda: reweighted(
         generate_random_connected(80, 40, 4), lambda rng: rng.randint(1, 9), 4
@@ -441,17 +455,6 @@ class TestSerialization:
                 load_embedding(stream)
 
     def test_short_reads(self, p6):
-        # a raw stream may return fewer bytes than asked for
-        class Trickle(io.RawIOBase):
-            def __init__(self, data):
-                self.src = io.BytesIO(data)
-
-            def readable(self):
-                return True
-
-            def read(self, size=-1):
-                return self.src.read(min(size, 5))
-
         for e in (build_alt_embedding(p6, LandmarkSet((0, 5))),
                   build_distributed_embedding(p6, LandmarkSet((0, 5)))):
             assert load_embedding(Trickle(lemb_bytes(e))) == e
@@ -530,6 +533,42 @@ class TestLembLayout:
         assert back == e
         assert stored_fields(back) == stored_fields(e)
         assert lemb_bytes(back) == data
+
+    @pytest.mark.parametrize("bad", [math.nan, -3.0, -math.inf, -0.0])
+    @pytest.mark.parametrize("which, name, start, count", [
+        (0, "distance table", 40, 10),
+        (0, "landmark matrix", 120, 4),
+        (1, "owner distances", 88, 6),
+        (1, "landmark matrix", 136, 4),
+    ])
+    def test_nan_or_negative_distance_fails(self, which, name, start, count,
+                                            bad):
+        # sections at byte offsets: header 24, landmark ids 16, owners 48
+        data = lemb_bytes(self.golden()[which])
+        for at in (start, start + 8 * (count - 1)):
+            corrupt = data[:at] + struct.pack("<d", bad) + data[at + 8:]
+            with pytest.raises(
+                ValueError, match=f"^embedding file has a NaN or negative "
+                f"value in the {name}$"
+            ):
+                load_embedding(io.BytesIO(corrupt))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_bytes_after_payload_fail(self, which):
+        data = lemb_bytes(self.golden()[which])
+        for extra in (b"garbage", data):
+            with pytest.raises(ValueError, match=f"^embedding file has "
+                               f"{len(extra)} bytes after the payload$"):
+                load_embedding(io.BytesIO(data + extra))
+            r, w = os.pipe()
+            os.write(w, data + extra)
+            os.close(w)
+            with os.fdopen(r, "rb") as pipe:
+                for stream in (Trickle(data + extra), pipe):
+                    assert not stream.seekable()
+                    with pytest.raises(ValueError, match="^embedding file "
+                                       "has bytes after the payload$"):
+                        load_embedding(stream)
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_every_truncation_fails(self, which):

@@ -2,8 +2,10 @@
 
 import io
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyroute import (
     GraphError,
@@ -174,6 +176,11 @@ class TestEdgeList:
         with pytest.raises(GraphError, match=r"^line 5: duplicate edge \(2,1\)$"):
             load_edge_list("3\n# c\n0 1\n1 2\n2 1\n")
 
+    def test_negative_vertex_count_names_line(self):
+        # once read as "no header yet", so the next line became the header
+        with pytest.raises(GraphError, match=r"^line 1: negative vertex count$"):
+            load_edge_list("-1\n3\n0 1\n1 2\n")
+
     def test_graph_wide_error_names_no_line(self):
         # the mix of a huge int and a float is a fault of no single line
         with pytest.raises(GraphError, match=r"^edge \(1,2\) has int weight"):
@@ -235,3 +242,207 @@ class TestGenerateRandomConnected:
     def test_unit_weights(self):
         g = generate_random_connected(30, 10, 5)
         assert all(w == 1 for _, _, w in g.edges())
+
+
+# Fuzzing both text formats. Each generated text comes with what it
+# means: the edges its lines declare and the numbers of the lines that a
+# loader must refuse. A text with such a line must fail with a GraphError
+# naming one of them; a text without one must load as build_graph over
+# its edges (after the DIMACS merge), or fail with the whole-file error
+# it was built to have.
+WHOLE_FILE = {
+    "header": r"^missing (vertex-count header|problem line)$",
+    "count": r"^problem line declares -?\d+ arcs, body has \d+$",
+    "disconnected": r"^(edge-list|DIMACS) input is not connected$",
+    "huge": r"^edge \(\d+,\d+\) has int weight \d+ >= 2\*\*53 in a graph "
+            r"with float weights",
+}
+
+# (text, value) of a weight the loaders must take
+weights = st.one_of(
+    st.integers(1, 40).map(lambda w: (str(w), w)),
+    st.integers(1, 80).map(lambda e: (repr(e / 8), e / 8)),
+)
+huge_weights = st.integers(0, 3).map(lambda j: (str(2**53 + j), 2**53 + j))
+bad_weights = st.sampled_from(["0", "-2", "0.0", "-0.5", "inf", "-inf", "nan",
+                               "1e999", "x", "1/2", "0x10"])
+# Most lines are clean; a faulty one has exactly one of these faults.
+line_faults = st.sampled_from([None] * 16 + ["id", "range", "loop", "weight",
+                                             "fields"])
+separators = st.sampled_from([" ", "\t", "  ", " \t "])
+line_ends = st.sampled_from(["\n", "\r\n"])
+
+
+@st.composite
+def fuzz_edges(draw, n: int) -> list:
+    """(u, v, weight token) with u != v in range(n), often a spanning
+    path plus random pairs, which may repeat; sometimes one weight is an
+    int of 2**53 or more."""
+    if n < 2:
+        return []
+    pairs = [(v, v + 1) for v in range(n - 1)] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 6))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 2))
+        pairs.append((u, v + (v >= u)))
+    edges = [(u, v, draw(weights)) for u, v in draw(st.permutations(pairs))]
+    if edges and draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(edges) - 1))
+        edges[i] = (*edges[i][:2], draw(huge_weights))
+    return edges
+
+
+def corrupt(draw, fields: list, fault, n: int, base: int, sizes: tuple) -> list:
+    """fields = [u, v, weight] as text, with the given fault put in; a
+    fields fault leaves one of sizes fields, which the format refuses."""
+    fields = list(fields)
+    at = draw(st.integers(0, 1))
+    if fault == "id":
+        fields[at] = draw(st.sampled_from(["x", "1.5", "-"]))
+    elif fault == "range":
+        fields[at] = str(draw(st.sampled_from([-1, n])) + base)
+    elif fault == "loop":
+        fields[1] = fields[0]
+    elif fault == "weight":
+        fields[2:] = [draw(bad_weights)]
+    elif fault == "fields":
+        fields = (fields[:2] + ["1", "7"])[:draw(st.sampled_from(sizes))]
+    return fields
+
+
+def scatter(draw, lines: list, comment: str) -> list:
+    """lines with up to three comment or blank lines put in anywhere."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        text = draw(st.sampled_from(["", comment, comment + " ab 1 2"]))
+        lines.insert(draw(st.integers(0, len(lines))), ("comment", text, False))
+    return lines
+
+
+def render(draw, lines: list) -> tuple:
+    """(text, numbers of the faulty lines) of (kind, fields or text,
+    fault) lines, with random field separators and line ends."""
+    out = []
+    for _, fields, _ in lines:
+        if not isinstance(fields, str):
+            fields = draw(separators).join(fields)
+        out.append(fields + draw(line_ends))
+    faults = {i for i, (_, _, bad) in enumerate(lines, start=1) if bad}
+    return "".join(out), faults
+
+
+def huge_next_to_float(edges: list) -> bool:
+    ws = [w for _, _, w in edges]
+    return (any(isinstance(w, float) for w in ws)
+            and any(isinstance(w, int) and w >= 2**53 for w in ws))
+
+
+@st.composite
+def edge_list_docs(draw):
+    """(text, n, edges, fault lines, whole-file cause or None)."""
+    n = draw(st.integers(0, 6))
+    header = draw(st.sampled_from([str(n)] * 12 + ["x", f"{n} {n}", "-1", None]))
+    lines = [("header", header, header != str(n))] if header else []
+    edges, seen = [], set()
+    for u, v, (wt, w) in draw(fuzz_edges(n)):
+        fields = [str(u), str(v), wt]
+        if draw(st.integers(0, 3)) == 0:  # no weight token: weight 1
+            fields, w = fields[:2], 1
+        fault = draw(line_faults)
+        key = (min(u, v), max(u, v))
+        bad = fault is not None or key in seen
+        if not bad:
+            seen.add(key)
+            edges.append((u, v, w))
+        lines.append(("edge", corrupt(draw, fields, fault, n, 0, (4,)), bad))
+    if header is None and lines:  # the first edge is read as the header
+        lines[0] = (*lines[0][:2], True)
+    text, faults = render(draw, scatter(draw, lines, "#"))
+    cause = None
+    if header is None:
+        cause = "header"
+    elif huge_next_to_float(edges):
+        cause = "huge"
+    elif not build_graph(n, edges).is_connected():
+        cause = "disconnected"
+    return text, n, edges, faults, cause
+
+
+@st.composite
+def dimacs_docs(draw):
+    """(text, n, merged edges, fault lines, whole-file cause or None)."""
+    n = draw(st.integers(0, 6))
+    arcs = []
+    merged, seen = {}, set()
+    for u, v, (wt, w) in draw(fuzz_edges(n)):
+        way = draw(st.sampled_from(["forward", "backward", "both"]))
+        drafts = [(u, v, wt, w)] if way != "backward" else []
+        if way != "forward":
+            other = (wt, w) if draw(st.integers(0, 3)) else draw(weights)
+            drafts.append((v, u, *other))
+        for a, b, ct, c in drafts:
+            fault = draw(line_faults)
+            key = (min(a, b), max(a, b))
+            bad = (fault is not None or (a, b) in seen
+                   or merged.get(key, c) != c)
+            if not bad:
+                seen.add((a, b))
+                merged.setdefault(key, c)
+            fields = corrupt(draw, [str(a + 1), str(b + 1), ct], fault, n, 1,
+                             (2, 4))
+            arcs.append(("arc", ["a", *fields], bad))
+    declared = len(arcs) + draw(st.sampled_from([0] * 4 + [1, -1]))
+    good = ["p", "sp", str(n), str(declared)]
+    problem = draw(st.sampled_from(
+        [good] * 12 + [good[:3], ["p", "xx", *good[2:]], ["p", "sp", "x", good[3]],
+                       ["p", "sp", "-1", good[3]]]
+    ))
+    where = draw(st.sampled_from([0] * 24 + list(range(len(arcs) + 1))))
+    lines = arcs[:where] + [("problem", problem, problem != good or declared < 0)]
+    lines += arcs[where:]
+    if draw(st.integers(0, 9)) == 0:
+        lines.append(("problem", good, True))
+    lines = scatter(draw, lines, "c")
+    first = next(i for i, line in enumerate(lines) if line[0] == "problem")
+    lines = [(kind, fields, bad or kind == "arc" and i < first)
+             for i, (kind, fields, bad) in enumerate(lines)]
+    text, faults = render(draw, lines)
+    edges = [(u, v, w) for (u, v), w in sorted(merged.items())]
+    cause = None
+    if declared != len(arcs):
+        cause = "count"
+    elif huge_next_to_float(edges):
+        cause = "huge"
+    elif not build_graph(n, edges).is_connected():
+        cause = "disconnected"
+    return text, n, edges, faults, cause
+
+
+def check_load(load, doc):
+    text, n, edges, faults, cause = doc
+    try:
+        got = load(text)
+    except GraphError as exc:
+        message = str(exc)
+        line = re.match(r"^line (\d+): ", message)
+        if faults:
+            assert line and int(line[1]) in faults, (message, faults)
+        else:
+            assert cause and re.match(WHOLE_FILE[cause], message), message
+        return
+    assert not faults and cause is None, (faults, cause)
+    want = build_graph(n, edges)
+    assert got == want
+    assert repr(list(got.edges())) == repr(list(want.edges()))
+
+
+class TestTextFuzz:
+    @settings(deadline=None, max_examples=300)
+    @given(edge_list_docs())
+    def test_edge_list(self, doc):
+        check_load(load_edge_list, doc)
+
+    @settings(deadline=None, max_examples=300)
+    @given(dimacs_docs())
+    def test_dimacs(self, doc):
+        check_load(load_dimacs, doc)
