@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, fields
@@ -138,6 +139,12 @@ def _stratified_queries(g: Graph, spec: WorkloadSpec, rng) -> list:
         row = shortest_path_tree(g, s).dist
         dists.extend(row[t] for _, t in pairs)
     max_d = max(dists)
+    if max_d == math.inf:
+        s, t = pool[dists.index(max_d)]
+        raise ValueError(
+            f"vertex {t} is not reachable from vertex {s}; distance deciles "
+            f"need a connected graph"
+        )
     buckets: list = [[] for _ in range(10)]
     for pair, d in zip(pool, dists):
         b = min(9, int(10 * d / max_d)) if max_d > 0 else 0

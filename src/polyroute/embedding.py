@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 from typing import BinaryIO, Union
 
 from .graph import Graph
-from .sssp import (
-    iter_tree_children,
-    landmark_matrix,
-    multi_source_spt,
-    shortest_path_tree,
-)
+from .sssp import landmark_matrix, multi_source_spt, shortest_path_tree
 
 _MAGIC = b"LEMB"
 _VERSION = 1
@@ -122,32 +117,25 @@ def select_farthest(g: Graph, k: int, seed: int) -> LandmarkSet:
     them, of all landmarks but the last.
     """
     _check_k(g, k)
-    n = g.vertex_count
-    start = random.Random(seed).randrange(n)
+    start = random.Random(seed).randrange(g.vertex_count)
     chosen: list = []
     taken = set()
     rows: list = []  # full tree from each chosen landmark but the last
     # Distances from the start pick the first landmark only; afterwards
     # min_dist tracks min over chosen landmarks, start excluded.
     min_dist = shortest_path_tree(g, start).dist
-    while len(chosen) < k:
-        best = -1
-        best_d = -1
-        for v in range(n):
-            if v not in taken and min_dist[v] > best_d:
-                best, best_d = v, min_dist[v]
+    while True:
+        best = _farthest(min_dist, taken)
         chosen.append(best)
         taken.add(best)
         if len(chosen) == k:
             break
         row = shortest_path_tree(g, best).dist
-        rows.append(row)
-        if len(chosen) == 1:
-            min_dist = list(row)
+        if rows:
+            _lower_to(min_dist, row)
         else:
-            for v in range(n):
-                if row[v] < min_dist[v]:
-                    min_dist[v] = row[v]
+            min_dist = list(row)
+        rows.append(row)
     return _with_matrix(g, chosen, rows)
 
 
@@ -161,15 +149,16 @@ def select_avoid(g: Graph, k: int, seed: int) -> LandmarkSet:
     children to a leaf. That leaf joins the landmark set. When every
     weight is zero (the bounds are already exact) or the walk lands on
     an existing landmark, the fallback picks the vertex farthest from
-    the current landmarks, ties to the smallest id. The result carries
-    every landmark's full distance row and the whole landmark matrix
-    read off them.
+    the current landmarks, ties to the smallest id, reading the distances
+    off the landmarks' own rows. The result carries every landmark's
+    full distance row and the whole landmark matrix read off them.
     """
     _check_k(g, k)
     n = g.vertex_count
     rng = random.Random(seed)
     chosen: list = []
     rows: list = []
+    min_dist = [math.inf] * n  # to the nearest chosen landmark
     while len(chosen) < k:
         root = rng.randrange(n)
         spt = shortest_path_tree(g, root)
@@ -182,12 +171,31 @@ def select_avoid(g: Graph, k: int, seed: int) -> LandmarkSet:
                     lb = cand
             w = spt.dist[v] - lb
             weight[v] = w if w > 0 else 0
-        pick = _descend_heaviest(spt, weight, n)
+        pick = _descend_heaviest(g, spt, weight)
         if pick is None or pick in chosen:
-            pick = _farthest_from(g, chosen, n)
+            pick = _farthest(min_dist, set(chosen))
         chosen.append(pick)
         rows.append(shortest_path_tree(g, pick).dist)
+        _lower_to(min_dist, rows[-1])
     return _with_matrix(g, chosen, rows)
+
+
+def _lower_to(min_dist: list, row: list) -> None:
+    """min_dist[v] = min(min_dist[v], row[v]) for every v, in place."""
+    for v in range(len(row)):
+        if row[v] < min_dist[v]:
+            min_dist[v] = row[v]
+
+
+def _farthest(min_dist: list, taken: set) -> int:
+    """The vertex outside taken with the largest min_dist, ties to the
+    smallest id."""
+    best = -1
+    best_d = -1
+    for v in range(len(min_dist)):
+        if v not in taken and min_dist[v] > best_d:
+            best, best_d = v, min_dist[v]
+    return best
 
 
 def _with_matrix(g: Graph, chosen: list, rows: list) -> LandmarkSet:
@@ -198,12 +206,12 @@ def _with_matrix(g: Graph, chosen: list, rows: list) -> LandmarkSet:
     return LandmarkSet(ids, matrix=matrix, graph=g, rows=rows)
 
 
-def _descend_heaviest(spt, weight: list, n: int):
+def _descend_heaviest(g: Graph, spt, weight: list):
     """Max-subtree-weight vertex, then down max-weight children to a leaf.
 
     Returns None when total weight is zero (nothing to steer by).
     """
-    children = iter_tree_children(spt, n)
+    n = len(weight)
     subtree = list(weight)
     # parent pointers always lead toward the root, so ordering vertices
     # by decreasing distance visits children before parents.
@@ -220,23 +228,11 @@ def _descend_heaviest(spt, weight: list, n: int):
     if best == -1:
         return None
     v = best
-    while children[v]:
-        v = max(children[v], key=lambda c: (subtree[c], -c))
-    return v
-
-
-def _farthest_from(g: Graph, chosen: list, n: int) -> int:
-    if not chosen:
-        return 0
-    dm = multi_source_spt(g, tuple(sorted(chosen)))
-    best = -1
-    best_d = -1
-    for v in range(n):
-        if v in chosen:
-            continue
-        if dm.dist[v] > best_d:
-            best, best_d = v, dm.dist[v]
-    return best
+    while True:
+        children = [c for c, _ in g.adjacency[v] if spt.parent[c] == v]
+        if not children:
+            return v
+        v = max(children, key=lambda c: (subtree[c], -c))
 
 
 def build_alt_embedding(g: Graph, L: LandmarkSet) -> AltEmbedding:
@@ -272,9 +268,7 @@ def build_distributed_embedding(g: Graph, L: LandmarkSet) -> DistributedEmbeddin
     """
     _check_landmarks(g, L)
     index_of = {l: i for i, l in enumerate(L.ids)}
-    # Tie ranks = landmark positions: equal-distance ownership ties go
-    # to the smaller landmark index even when ids are not id-sorted.
-    dm = multi_source_spt(g, L.ids, tie_ranks=range(len(L.ids)))
+    dm = multi_source_spt(g, L.ids)
     if -1 in dm.owner:
         raise ValueError(
             f"vertex {dm.owner.index(-1)} is not reached by any landmark"

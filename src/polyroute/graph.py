@@ -119,12 +119,21 @@ def build_graph(vertex_count: int, edges: Iterable[tuple]) -> Graph:
     return Graph(vertex_count=vertex_count, adjacency=adjacency, edge_count=count)
 
 
+def _plain(text: str) -> str:
+    """text, if a graph file can mean it as a number. int() and float()
+    also take '_' digit separators, a leading '+' and non-ASCII digits;
+    those raise ValueError here, as other non-numerals do in int()."""
+    if "_" in text or text[0] == "+" or not text.isascii():
+        raise ValueError(f"not a plain numeral: {text!r}")
+    return text
+
+
 def _parse_weight(text: str, context: str) -> "int | float":
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
+        # Of a plain numeral, int() takes only a '-' and digits; asking
+        # first spares each float weight a raised ValueError.
+        if _plain(text).lstrip("-").isdigit():
+            return int(text)
         w = float(text)
     except ValueError:
         raise GraphError(f"{context}: bad weight {text!r}") from None
@@ -159,7 +168,7 @@ def load_dimacs(stream: "TextIO | str") -> Graph:
             if len(parts) != 4 or parts[1] != "sp":
                 raise GraphError(f"line {lineno}: expected 'p sp <n> <m>'")
             try:
-                n, m = int(parts[2]), int(parts[3])
+                n, m = int(_plain(parts[2])), int(_plain(parts[3]))
             except ValueError:
                 raise GraphError(f"line {lineno}: bad problem line counts") from None
             if n < 0 or m < 0:
@@ -170,7 +179,7 @@ def load_dimacs(stream: "TextIO | str") -> Graph:
             if len(parts) != 4:
                 raise GraphError(f"line {lineno}: expected 'a <u> <v> <w>'")
             try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                u, v = int(_plain(parts[1])) - 1, int(_plain(parts[2])) - 1
             except ValueError:
                 raise GraphError(f"line {lineno}: bad vertex id") from None
             w = _parse_weight(parts[3], f"line {lineno}")
@@ -236,7 +245,7 @@ def load_edge_list(stream: "TextIO | str") -> Graph:
             if len(parts) != 1:
                 raise GraphError(f"line {lineno}: expected single vertex-count header")
             try:
-                n = int(parts[0])
+                n = int(_plain(parts[0]))
             except ValueError:
                 raise GraphError(f"line {lineno}: bad vertex count") from None
             if n < 0:
@@ -245,7 +254,7 @@ def load_edge_list(stream: "TextIO | str") -> Graph:
         if len(parts) not in (2, 3):
             raise GraphError(f"line {lineno}: expected 'u v [w]'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = int(_plain(parts[0])), int(_plain(parts[1]))
         except ValueError:
             raise GraphError(f"line {lineno}: bad vertex id") from None
         w = _parse_weight(parts[2], f"line {lineno}") if len(parts) == 3 else 1

@@ -8,8 +8,8 @@ dist = inf and owner/parent = -1.
 Determinism: the heap is keyed (distance, owner rank, vertex id), and a
 relaxation that ties on distance is accepted only when it improves the
 owner rank, so owner assignment and parent pointers are reproducible.
-Callers choose what rank means: vertex id for the public multi-source
-API, position in a landmark sequence for embedding construction.
+A source's rank is its position in the sources given, so equal-distance
+ties go to the source listed first.
 """
 
 from __future__ import annotations
@@ -95,17 +95,14 @@ def _count(kind: str) -> None:
 
 
 def _run_kernel(
-    g: Graph,
-    sources: Sequence[int],
-    ranks: Sequence[int],
-    stop_at: "set | None" = None,
+    g: Graph, sources: Sequence[int], stop_at: "set | None" = None
 ) -> tuple:
     """Dijkstra with lazy deletion from several sources at once.
 
-    ranks orders the sources for tie-breaking (lower rank wins at equal
-    distance). If stop_at is given, the run ends once every vertex in it
-    is settled; distances outside the settled region are then only upper
-    bounds and are reported as unreached.
+    At equal distance the source listed first wins. If stop_at is given,
+    the run ends once every vertex in it is settled; distances outside
+    the settled region are then only upper bounds and are reported as
+    unreached.
     """
     n = g.vertex_count
     dist = [INF] * n
@@ -114,8 +111,8 @@ def _run_kernel(
     parent = [-1] * n
     done = bytearray(n)
     heap = []
-    for s, r in zip(sources, ranks):
-        # A later duplicate source with lower rank would win; callers
+    for r, s in enumerate(sources):
+        # A later duplicate would overwrite the first one's rank; callers
         # reject duplicates before reaching the kernel.
         dist[s] = 0
         rank[s] = r
@@ -159,20 +156,15 @@ def shortest_path_tree(g: Graph, source: int) -> DistanceMap:
     """Exact single-source distances (full Dijkstra run)."""
     _check_vertex(g, source, "source")
     _count("full_spt")
-    dist, owner, parent = _run_kernel(g, (source,), (source,))
+    dist, owner, parent = _run_kernel(g, (source,))
     return DistanceMap(sources=(source,), dist=dist, owner=owner, parent=parent)
 
 
-def multi_source_spt(
-    g: Graph, sources: Sequence[int], tie_ranks: "Sequence[int] | None" = None
-) -> DistanceMap:
+def multi_source_spt(g: Graph, sources: Sequence[int]) -> DistanceMap:
     """Distance to the nearest source for every vertex.
 
     owner[v] is the attaining source. Equal-distance ties go to the
-    source with the lowest tie rank; the default rank is the source id
-    itself, so ties break toward the smallest source id. Callers that
-    need positional priority (embedding construction) pass their own
-    ranks.
+    source listed first in sources.
     """
     srcs = tuple(sources)
     if not srcs:
@@ -181,11 +173,8 @@ def multi_source_spt(
         raise ValueError(f"duplicate sources in {srcs}")
     for s in srcs:
         _check_vertex(g, s, "source")
-    ranks = srcs if tie_ranks is None else tuple(tie_ranks)
-    if len(ranks) != len(srcs):
-        raise ValueError("tie_ranks must match sources in length")
     _count("multi_source")
-    dist, owner, parent = _run_kernel(g, srcs, ranks)
+    dist, owner, parent = _run_kernel(g, srcs)
     return DistanceMap(sources=srcs, dist=dist, owner=owner, parent=parent)
 
 
@@ -195,9 +184,7 @@ def truncated_spt(g: Graph, source: int, targets: Sequence[int]) -> DistanceMap:
     for t in targets:
         _check_vertex(g, t, "target")
     _count("truncated_spt")
-    dist, owner, parent = _run_kernel(
-        g, (source,), (source,), stop_at=set(targets)
-    )
+    dist, owner, parent = _run_kernel(g, (source,), stop_at=set(targets))
     return DistanceMap(sources=(source,), dist=dist, owner=owner, parent=parent)
 
 
@@ -242,12 +229,3 @@ def all_pairs_oracle(g: Graph, cap: int = 5000) -> list:
         table.append(shortest_path_tree(g, s).dist)
     return table
 
-
-def iter_tree_children(dm: DistanceMap, n: int) -> list:
-    """children[u] = tree children of u under dm's parent pointers."""
-    children: list = [[] for _ in range(n)]
-    for v in range(n):
-        p = dm.parent[v]
-        if p != -1:
-            children[p].append(v)
-    return children

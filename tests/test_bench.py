@@ -73,6 +73,15 @@ class TestGenerateQueries:
         expected = {min(9, 10 * d // max_d) for d in (1, 2, 3, 4)}
         assert seen == expected
 
+    def test_stratified_names_an_unreachable_pair(self):
+        # a library graph need not be connected, and no decile holds an
+        # infinite distance
+        g = build_graph(6, [(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1)])
+        spec = WorkloadSpec(20, seed=1, stratification="by-distance-decile")
+        with pytest.raises(ValueError, match=r"^vertex 3 is not reachable "
+                                             r"from vertex 0; distance"):
+            generate_queries(g, spec)
+
     def test_stratified_deterministic_on_larger_graph(self):
         g = generate_random_connected(150, 60, 4)
         spec = WorkloadSpec(30, seed=5, stratification="by-distance-decile")

@@ -368,6 +368,85 @@ class TestSelectorMatrixRows:
         assert len(L.rows) == 4  # still there for a build on g1
 
 
+def two_components_and_an_isolated_vertex():
+    """Eighths-weighted random graph on 0..29, vertex 30 alone, a unit
+    5x5 grid on 31..55."""
+    a = reweighted(generate_random_connected(30, 12, 6), eighths, 6)
+    b = generate_grid(5, 5)
+    shifted = [(u + 31, v + 31, w) for u, v, w in b.edges()]
+    return build_graph(56, list(a.edges()) + shifted)
+
+
+GOLDEN_SELECTOR_GRAPHS = {
+    "int-random": lambda: reweighted(
+        generate_random_connected(70, 30, 4), lambda rng: rng.randint(1, 9), 4
+    ),
+    "unit-grid": lambda: generate_grid(8, 9),
+    "eighths-grid": lambda: reweighted(generate_grid(9, 8), eighths, 1),
+    "tenths-random": lambda: reweighted(
+        generate_random_connected(60, 25, 2),
+        lambda rng: rng.randrange(1, 100) / 10, 2,
+    ),
+    "disconnected": two_components_and_an_isolated_vertex,
+}
+
+
+def selector_digest(select, g) -> str:
+    """SHA-256 over every (ids, matrix, rows) the selector returns for
+    k in (1, 2, 5, 9) and seeds 0-2; repr keeps every digit of a float
+    and tells 1 from 1.0."""
+    h = hashlib.sha256()
+    for k in (1, 2, 5, 9):
+        for seed in range(3):
+            L = select(g, k, seed)
+            h.update(repr((L.ids, L.matrix, L.rows)).encode())
+    return h.hexdigest()
+
+
+class TestSelectorGolden:
+    """Every (ids, matrix, rows) the two selectors return, pinned by
+    SHA-256. Every select_avoid case takes its farthest-point fallback at
+    least once, so the fallback's picks are pinned too."""
+
+    GOLDEN = {
+        ("farthest", "disconnected"):
+            "f0d9a83b9aa402d09743c56c6a77fa6ce846773234448133df0555cf7c257198",
+        ("farthest", "eighths-grid"):
+            "282c96d9f10a071101271bfbcd98e3b3f5c74037f939524f80246cbb8e9527d3",
+        ("farthest", "int-random"):
+            "1e1fdf5fdaa9d29ad1be2e81a2d9c718d4f3c3695b5157242164cdca4e68cc0c",
+        ("farthest", "tenths-random"):
+            "753a139c7a8b0a8b5e91a2a7e0dcf159b4191da77e90b739becef37be1e72144",
+        ("farthest", "unit-grid"):
+            "c177bf9cce9ff9fb059debc1f6b42c9d0cc85d6eed6f7522a58509acdae7195f",
+        ("avoid", "disconnected"):
+            "fa888ee741a4e492ce8e58156e500edbba637e3275d1b01e351a82a81b91f7b2",
+        ("avoid", "eighths-grid"):
+            "33919d35e683a8c2874e7afc4e8a24aa39e6f7dad2950d0245bd1a1c2afab206",
+        ("avoid", "int-random"):
+            "8b09e1b41a4040ccc0728d04f08b5daf8c5e56b1d80bfea8ac7312f68421ad8e",
+        ("avoid", "tenths-random"):
+            "bf1a898991877978f8d390af3ce772a4afa9e487f081398c9074da747092de76",
+        ("avoid", "unit-grid"):
+            "21090779d49139bc648910b9f2d653c6014d4853bfa90a444e94c7bc79a12f23",
+    }
+
+    @pytest.mark.parametrize("select, kind", sorted(GOLDEN))
+    def test_selectors_unchanged(self, select, kind):
+        g = GOLDEN_SELECTOR_GRAPHS[kind]()
+        fn = {"farthest": select_farthest, "avoid": select_avoid}[select]
+        assert selector_digest(fn, g) == self.GOLDEN[select, kind]
+
+    def test_avoid_fallback_runs_no_sweep(self, p6):
+        # the second pick is the fallback (see TestSelectAvoid); it reads
+        # the nearest-landmark distances off the rows already held
+        seed = seed_with_first_randrange(6, 2)
+        with track_kernels() as kc:
+            L = select_avoid(p6, 2, seed)
+        assert L.ids == (5, 0)
+        assert (kc.full_spt, kc.multi_source, kc.truncated_spt) == (4, 0, 0)
+
+
 class TestSpaceAccounting:
     def test_p6_both_kinds(self, p6):
         L = LandmarkSet((0, 5))

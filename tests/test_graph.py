@@ -138,6 +138,29 @@ class TestDimacs:
         g = load_dimacs("p sp 2 1\na 1 2 2.5")
         assert g.adjacency[0] == [(1, 2.5)]
 
+    # int() and float() take these too; a typo such as 1_5 must not load
+    # as another weight
+    @pytest.mark.parametrize("text, error", [
+        ("p sp 2 1\na 1 2 1_5.2_5", "line 2: bad weight"),
+        ("p sp 2 1\na 1 2 +3", "line 2: bad weight"),
+        ("p sp 2 1\na 1 2 \u0661", "line 2: bad weight"),
+        ("p sp 2 1\na +1 2 3", "line 2: bad vertex id"),
+        ("p sp 2 1\na 1 2_0 3", "line 2: bad vertex id"),
+        ("p sp 2 1\na 1 \u0662 3", "line 2: bad vertex id"),
+        ("p sp +2 1\na 1 2 3", "line 1: bad problem line counts"),
+        ("p sp 2 \uff11\na 1 2 3", "line 1: bad problem line counts"),
+    ])
+    def test_plain_numerals_only(self, text, error):
+        with pytest.raises(GraphError, match=f"^{error}"):
+            load_dimacs(text)
+
+    def test_exponent_weights_round_trip(self):
+        g = build_graph(3, [(0, 1, 1e16), (1, 2, 2.5e-07)])
+        buf = io.StringIO()
+        save_dimacs(g, buf)
+        assert "1e+16" in buf.getvalue()
+        assert load_dimacs(buf.getvalue()) == g
+
 
 class TestEdgeList:
     def test_basic(self):
@@ -180,6 +203,19 @@ class TestEdgeList:
         # once read as "no header yet", so the next line became the header
         with pytest.raises(GraphError, match=r"^line 1: negative vertex count$"):
             load_edge_list("-1\n3\n0 1\n1 2\n")
+
+    @pytest.mark.parametrize("text, error", [
+        ("2\n0 1 1_0\n", "line 2: bad weight"),
+        ("2\n0 1 +1\n", "line 2: bad weight"),
+        ("2\n0 1 \u0661\n", "line 2: bad weight"),
+        ("2\n0 +1\n", "line 2: bad vertex id"),
+        ("2\n\u0660 1\n", "line 2: bad vertex id"),
+        ("+2\n0 1\n", "line 1: bad vertex count"),
+        ("1_0\n0 1\n", "line 1: bad vertex count"),
+    ])
+    def test_plain_numerals_only(self, text, error):
+        with pytest.raises(GraphError, match=f"^{error}"):
+            load_edge_list(text)
 
     def test_graph_wide_error_names_no_line(self):
         # the mix of a huge int and a float is a fault of no single line
@@ -265,7 +301,8 @@ weights = st.one_of(
 )
 huge_weights = st.integers(0, 3).map(lambda j: (str(2**53 + j), 2**53 + j))
 bad_weights = st.sampled_from(["0", "-2", "0.0", "-0.5", "inf", "-inf", "nan",
-                               "1e999", "x", "1/2", "0x10"])
+                               "1e999", "x", "1/2", "0x10", "1_0", "+3",
+                               "\u0661"])
 # Most lines are clean; a faulty one has exactly one of these faults.
 line_faults = st.sampled_from([None] * 16 + ["id", "range", "loop", "weight",
                                              "fields"])
@@ -298,7 +335,8 @@ def corrupt(draw, fields: list, fault, n: int, base: int, sizes: tuple) -> list:
     fields = list(fields)
     at = draw(st.integers(0, 1))
     if fault == "id":
-        fields[at] = draw(st.sampled_from(["x", "1.5", "-"]))
+        fields[at] = draw(st.sampled_from(["x", "1.5", "-", "+1", "1_0",
+                                           "\u0661"]))
     elif fault == "range":
         fields[at] = str(draw(st.sampled_from([-1, n])) + base)
     elif fault == "loop":

@@ -86,15 +86,9 @@ class TestMultiSource:
         with pytest.raises(ValueError, match="duplicate"):
             multi_source_spt(p6, (1, 1))
 
-    def test_tie_goes_to_smallest_source_id(self, grid2):
+    def test_tie_goes_to_source_listed_first(self, grid2):
         # vertex 1 and 2 are both at distance 1 from each of {0, 3}
         dm = multi_source_spt(grid2, (3, 0))
-        assert dm.owner[1] == 0
-        assert dm.owner[2] == 0
-
-    def test_tie_rank_override(self, grid2):
-        # positional ranks: source 3 listed first wins equal-distance ties
-        dm = multi_source_spt(grid2, (3, 0), tie_ranks=(0, 1))
         assert dm.owner[1] == 3
         assert dm.owner[2] == 3
 

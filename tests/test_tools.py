@@ -59,3 +59,72 @@ def test_library_modules_import_only_what_they_use():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _top_level_definitions(tree) -> list:
+    """(name, node) of each top-level function, class and constant."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, ast.Assign):
+            out += [(t.id, node) for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.append((node.target.id, node))
+    return [(name, node) for name, node in out if not name.startswith("__")]
+
+
+def _reads(node) -> list:
+    """Names read anywhere under node: loads, attribute names and names
+    in annotations, string annotations included."""
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+        elif isinstance(sub, (ast.arg, ast.AnnAssign)) and sub.annotation:
+            names += _annotation_names(sub.annotation)
+        elif isinstance(sub, ast.FunctionDef) and sub.returns:
+            names += _annotation_names(sub.returns)
+    return names
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """module.name of each top-level definition in sources (module name ->
+    text) that nothing else in sources reads and no __all__ lists.
+    __init__ defines nothing here but its reads and __all__ count."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    exported = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", "") == "__all__" for t in node.targets)):
+                exported |= {elt.value for elt in node.value.elts}
+    read = set()  # names read outside their own definition
+    defined = []
+    for module, tree in trees.items():
+        own = {} if module == "__init__" else dict(_top_level_definitions(tree))
+        defined += [(module, name) for name in own]
+        for node in tree.body:
+            read |= {name for name in _reads(node) if own.get(name) is not node}
+    return [f"{module}.{name}" for module, name in defined
+            if name not in exported | read]
+
+
+def test_dead_definition_check_flags_unread_names():
+    sources = {
+        "__init__": "from .a import used\n__all__ = ['used']\n",
+        "a": "LIMIT = 3\nPI = 3.14\n\ndef used():\n    return _helper(LIMIT)\n\n"
+             "def _helper(x):\n    return x\n\n"
+             "def _leftover(n):\n    return _leftover(n - 1) if n else 0\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.PI", "a._leftover"]
+
+
+def test_library_defines_only_what_it_uses_or_exports():
+    sources = {
+        path.stem: path.read_text()
+        for path in sorted((ROOT / "src" / "polyroute").glob("*.py"))
+    }
+    assert unreferenced_definitions(sources) == []
