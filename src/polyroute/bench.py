@@ -346,14 +346,20 @@ def _report_row(i: int, rec, from_text: bool) -> BenchRow:
 
 
 def load_report(stream: TextIO, format: str) -> list:
-    """Inverse of emit_report."""
+    """Inverse of emit_report. Malformed input raises ValueError."""
     if format == "csv":
         reader = csv.DictReader(stream)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {reader.fieldnames}")
-        return [_report_row(i, rec, True) for i, rec in enumerate(reader)]
+        try:
+            if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_HEADER:
+                raise ValueError(f"unexpected CSV header {reader.fieldnames}")
+            return [_report_row(i, rec, True) for i, rec in enumerate(reader)]
+        except csv.Error as exc:
+            raise ValueError(f"malformed CSV report: {exc}") from None
     if format == "json":
-        records = json.load(stream)
+        try:
+            records = json.load(stream)
+        except RecursionError:
+            raise ValueError("JSON report is nested too deeply") from None
         if not isinstance(records, list):
             raise ValueError("JSON report must be a list of rows")
         return [_report_row(i, rec, False) for i, rec in enumerate(records)]

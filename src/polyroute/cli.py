@@ -79,7 +79,7 @@ def load_graph_file(path: str) -> Graph:
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("#"):
             continue
-        if line.startswith("p sp"):
+        if line.split()[:2] == ["p", "sp"]:
             return load_dimacs(text)
         return load_edge_list(text)
     raise GraphError(f"{path}: no content lines")

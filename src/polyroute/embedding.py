@@ -267,16 +267,14 @@ def build_distributed_embedding(g: Graph, L: LandmarkSet) -> DistributedEmbeddin
     the landmarks without one get a truncated run.
     """
     _check_landmarks(g, L)
-    index_of = {l: i for i, l in enumerate(L.ids)}
     dm = multi_source_spt(g, L.ids)
     if -1 in dm.owner:
         raise ValueError(
             f"vertex {dm.owner.index(-1)} is not reached by any landmark"
         )
-    owner = [index_of[ov] for ov in dm.owner]
     lmatrix = landmark_matrix(g, L.ids, L.matrix if L.graph is g else ())
     return DistributedEmbedding(
-        landmarks=L, owner=owner, dist_to_owner=dm.dist, lmatrix=lmatrix
+        landmarks=L, owner=dm.owner, dist_to_owner=dm.dist, lmatrix=lmatrix
     )
 
 

@@ -21,8 +21,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
-VertexId = int
-
 
 class GraphError(ValueError):
     """Raised for malformed graph input: bad ids, weights, or file syntax."""
@@ -39,9 +37,6 @@ class Graph:
     vertex_count: int
     adjacency: list = field(repr=False)
     edge_count: int
-
-    def degree(self, v: VertexId) -> int:
-        return len(self.adjacency[v])
 
     def edges(self) -> Iterable[tuple[int, int, "int | float"]]:
         """Yield each undirected edge once, as (u, v, w) with u < v."""

@@ -2,21 +2,21 @@
 
 One Dijkstra kernel serves every caller: full single-source trees,
 multi-source (nearest-seed) trees, truncated runs that stop once a watch
-set is settled, and the quadratic test oracle. Unreached vertices carry
-dist = inf and owner/parent = -1.
+set is settled, and the quadratic test oracle. A vertex's owner is the
+position, in the sources given, of its nearest source. Unreached
+vertices carry dist = inf and owner/parent = -1.
 
-Determinism: the heap is keyed (distance, owner rank, vertex id), and a
-relaxation that ties on distance is accepted only when it improves the
-owner rank, so owner assignment and parent pointers are reproducible.
-A source's rank is its position in the sources given, so equal-distance
-ties go to the source listed first.
+Determinism: the heap is keyed (distance, owner, vertex id), and a
+relaxation that ties on distance is accepted only when it lowers the
+owner, so owner assignment and parent pointers are reproducible and
+equal-distance ties go to the source listed first.
 """
 
 from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -29,29 +29,16 @@ INF = math.inf
 class DistanceMap:
     """Result of one kernel run.
 
-    dist[s] = 0 and owner[s] = s for every source; otherwise owner[v] is
-    the source nearest to v and parent[v] the predecessor on a shortest
-    path from that source. Sources and unreached vertices have parent -1.
+    owner[v] is the position, in the sources given, of the source nearest
+    to v (0 at every reached vertex of a single-source run), and
+    parent[v] the predecessor on a shortest path from it. A source has
+    dist 0 and parent -1; an unreached vertex has dist inf and owner and
+    parent -1.
     """
 
-    sources: tuple
-    dist: list = field(repr=False)
-    owner: list = field(repr=False)
-    parent: list = field(repr=False)
-
-    def reached(self, v: int) -> bool:
-        return self.dist[v] != INF
-
-    def path_from_source(self, v: int) -> list:
-        """Vertices from owner[v] to v along the tree; [] if unreached."""
-        if not self.reached(v):
-            return []
-        out = [v]
-        while self.parent[v] != -1:
-            v = self.parent[v]
-            out.append(v)
-        out.reverse()
-        return out
+    dist: list
+    owner: list
+    parent: list
 
 
 @dataclass
@@ -96,7 +83,7 @@ def _count(kind: str) -> None:
 
 def _run_kernel(
     g: Graph, sources: Sequence[int], stop_at: "set | None" = None
-) -> tuple:
+) -> DistanceMap:
     """Dijkstra with lazy deletion from several sources at once.
 
     At equal distance the source listed first wins. If stop_at is given,
@@ -106,23 +93,21 @@ def _run_kernel(
     """
     n = g.vertex_count
     dist = [INF] * n
-    rank = [-1] * n
     owner = [-1] * n
     parent = [-1] * n
     done = bytearray(n)
     heap = []
     for r, s in enumerate(sources):
-        # A later duplicate would overwrite the first one's rank; callers
+        # A later duplicate would overwrite the first one's owner; callers
         # reject duplicates before reaching the kernel.
         dist[s] = 0
-        rank[s] = r
-        owner[s] = s
+        owner[s] = r
         heappush(heap, (0, r, s))
     adj = g.adjacency
     pending = set(stop_at) if stop_at is not None else None
     while heap:
         d, r, u = heappop(heap)
-        if done[u] or d > dist[u] or r > rank[u]:
+        if done[u] or d > dist[u] or r > owner[u]:
             continue
         done[u] = 1
         if pending is not None:
@@ -131,10 +116,9 @@ def _run_kernel(
                 break
         for v, w in adj[u]:
             nd = d + w
-            if nd < dist[v] or (nd == dist[v] and r < rank[v]):
+            if nd < dist[v] or (nd == dist[v] and r < owner[v]):
                 dist[v] = nd
-                rank[v] = r
-                owner[v] = owner[u]
+                owner[v] = r
                 parent[v] = u
                 heappush(heap, (nd, r, v))
     if pending is not None:
@@ -144,7 +128,7 @@ def _run_kernel(
                 dist[v] = INF
                 owner[v] = -1
                 parent[v] = -1
-    return dist, owner, parent
+    return DistanceMap(dist, owner, parent)
 
 
 def _check_vertex(g: Graph, v: int, what: str) -> None:
@@ -156,15 +140,14 @@ def shortest_path_tree(g: Graph, source: int) -> DistanceMap:
     """Exact single-source distances (full Dijkstra run)."""
     _check_vertex(g, source, "source")
     _count("full_spt")
-    dist, owner, parent = _run_kernel(g, (source,))
-    return DistanceMap(sources=(source,), dist=dist, owner=owner, parent=parent)
+    return _run_kernel(g, (source,))
 
 
 def multi_source_spt(g: Graph, sources: Sequence[int]) -> DistanceMap:
     """Distance to the nearest source for every vertex.
 
-    owner[v] is the attaining source. Equal-distance ties go to the
-    source listed first in sources.
+    owner[v] is the position in sources of the attaining source.
+    Equal-distance ties go to the source listed first.
     """
     srcs = tuple(sources)
     if not srcs:
@@ -174,8 +157,7 @@ def multi_source_spt(g: Graph, sources: Sequence[int]) -> DistanceMap:
     for s in srcs:
         _check_vertex(g, s, "source")
     _count("multi_source")
-    dist, owner, parent = _run_kernel(g, srcs)
-    return DistanceMap(sources=srcs, dist=dist, owner=owner, parent=parent)
+    return _run_kernel(g, srcs)
 
 
 def truncated_spt(g: Graph, source: int, targets: Sequence[int]) -> DistanceMap:
@@ -184,8 +166,7 @@ def truncated_spt(g: Graph, source: int, targets: Sequence[int]) -> DistanceMap:
     for t in targets:
         _check_vertex(g, t, "target")
     _count("truncated_spt")
-    dist, owner, parent = _run_kernel(g, (source,), stop_at=set(targets))
-    return DistanceMap(sources=(source,), dist=dist, owner=owner, parent=parent)
+    return _run_kernel(g, (source,), stop_at=set(targets))
 
 
 def landmark_matrix(

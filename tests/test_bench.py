@@ -340,6 +340,17 @@ class TestReportIO:
         with pytest.raises(ValueError, match="list of rows|row 0: expected an object"):
             load_report(io.StringIO(text), "json")
 
+    def test_json_nested_too_deeply_rejected(self):
+        with pytest.raises(ValueError, match="^JSON report is nested too deeply$"):
+            load_report(io.StringIO("[" * 100_000), "json")
+
+    @pytest.mark.parametrize("header", [False, True], ids=["row", "header"])
+    def test_csv_field_over_the_limit_rejected(self, header):
+        big = "x" * 131_073 + "\n"
+        text = big if header else ",".join(CSV_HEADER) + "\n" + big
+        with pytest.raises(ValueError, match="^malformed CSV report: field larger"):
+            load_report(io.StringIO(text), "csv")
+
     @pytest.mark.parametrize("name, value", [
         ("source", "1.9"), ("target", "x"), ("distance", "x"), ("s5", ""),
     ])

@@ -216,6 +216,18 @@ class TestQuery:
         assert out == ""
         assert err == "error: line 3: non-finite weight 'inf'\n"
 
+    @pytest.mark.parametrize("text", [
+        "p\tsp 2 1\na 1 2 3\n", "c x\np  sp 2 1\na 1 2 3\n",
+    ], ids=["tab", "comment-then-two-spaces"])
+    def test_dimacs_header_with_any_whitespace(self, tmp_path, capsys, text):
+        path = tmp_path / "ws.gr"
+        path.write_text(text)
+        code, out, err = run(capsys, "query", "--graph", str(path),
+                             "--method", "dijkstra",
+                             "--source", "0", "--target", "1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "distance: 3"
+
     def test_missing_graph_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "query", "--graph",
                            str(tmp_path / "nope.gr"),
@@ -348,3 +360,15 @@ class TestTopLevel:
                            "--report", str(bad))
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("name", ["deep.json", "wide.csv"])
+    def test_malformed_report_is_clean_error(self, tmp_path, capsys, name):
+        gr = tmp_path / "g.gr"
+        run(capsys, "gen", "--path", "3", "--out", str(gr))
+        bad = tmp_path / name
+        bad.write_text({"deep.json": "[" * 100_000,
+                        "wide.csv": "x" * 131_073 + "\n"}[name])
+        code, out, err = run(capsys, "verify", "--graph", str(gr),
+                             "--report", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -23,6 +23,7 @@ from polyroute import (
     generate_grid,
     generate_random_connected,
     load_embedding,
+    multi_source_spt,
     save_embedding,
     select_avoid,
     select_farthest,
@@ -30,6 +31,7 @@ from polyroute import (
     shortest_path_tree,
     space_accounting,
     track_kernels,
+    truncated_spt,
 )
 
 import oracles
@@ -445,6 +447,91 @@ class TestSelectorGolden:
             L = select_avoid(p6, 2, seed)
         assert L.ids == (5, 0)
         assert (kc.full_spt, kc.multi_source, kc.truncated_spt) == (4, 0, 0)
+
+
+def distributed_digest(select, g) -> str:
+    """SHA-256 over (owner, dist_to_owner, lmatrix) of the distributed
+    build from every set the selector returns for k in (1, 2, 5, 9) and
+    seeds 0-2."""
+    h = hashlib.sha256()
+    for k in (1, 2, 5, 9):
+        for seed in range(3):
+            e = build_distributed_embedding(g, select(g, k, seed))
+            h.update(repr((e.owner, e.dist_to_owner, e.lmatrix)).encode())
+    return h.hexdigest()
+
+
+def kernel_digest(g) -> str:
+    """SHA-256 over (dist, parent) of a full tree from every vertex, and
+    of a sweep and a truncated run from seeded random sources for k in
+    (1, 2, 5, 9) and seeds 0-2 (the truncated run starts at the first
+    source and watches them all)."""
+    n = g.vertex_count
+    h = hashlib.sha256()
+    runs = [shortest_path_tree(g, s) for s in range(n)]
+    for k in (1, 2, 5, 9):
+        for seed in range(3):
+            sources = random.Random(seed).sample(range(n), k)
+            runs.append(multi_source_spt(g, sources))
+            runs.append(truncated_spt(g, sources[0], sources))
+    for dm in runs:
+        h.update(repr((dm.dist, dm.parent)).encode())
+    return h.hexdigest()
+
+
+class TestSweepGolden:
+    """The distributed build and the kernels' (dist, parent), pinned by
+    SHA-256 on the connected golden graphs."""
+
+    DISTRIBUTED = {
+        ("random", "eighths-grid"):
+            "0913c8e873673a194aa02370195e81ef56beac325ec5478742d1f22fd353adef",
+        ("random", "int-random"):
+            "7d60995a0ea9d4a5ffeb49501aa5b08cf37127bf54d8aee43c996aa042488fb4",
+        ("random", "tenths-random"):
+            "2b39f6b84f5daf61869d561c46a200f4547f14ae1b46304ac863a3654c86e2b0",
+        ("random", "unit-grid"):
+            "4dc713e94dfb50034609ea3a0c85bc75075c4955f91179643c8f2ce75a3308aa",
+        ("farthest", "eighths-grid"):
+            "34c9b98e049b491d4d2f93530ee66354146b8542f50a533e63fc375abb39f4c5",
+        ("farthest", "int-random"):
+            "c890d96fe720bf8b3bf1c1f23d10f98dc8cee544a449d72501eeef5081a026c9",
+        ("farthest", "tenths-random"):
+            "7396cebfff966af4e9edb3882115b7474ac9d23e365ec63d940d3c39d1efd24f",
+        ("farthest", "unit-grid"):
+            "8319584b891b4d23adf811118099973a1682cb829bf2ee74710e07c3c34bde1f",
+        ("avoid", "eighths-grid"):
+            "229f1d86c2cc6509be97691f307d5aa962c1cea97f80b02a7604326c9d8a8044",
+        ("avoid", "int-random"):
+            "5ceb6673c909fa97e3b3ecfbbc8a359d73c668c00a7b475133ffc3b2fe295ee6",
+        ("avoid", "tenths-random"):
+            "64523e5104d69102bec84bad49d3e08a5fd6befc7b5de5dec013daeb7b51935c",
+        ("avoid", "unit-grid"):
+            "c128c88810becc960f8cd49f099e477167bc0d5ae837cf2c6c7ef43bbed637cd",
+    }
+
+    KERNELS = {
+        "eighths-grid":
+            "84486f4955c6b0653550be9a375cef3420abef27ee881edb2ac71c61769f913a",
+        "int-random":
+            "1439a95c8edb96e87ea755f658af38a9b1ed4da19f3d74d798ba7d3875a846d1",
+        "tenths-random":
+            "1a10b45e0d2a5e55c2cd0439de463cb144db86ab804e1f162f42ae3ce9b3ebc3",
+        "unit-grid":
+            "cc61b538f08c48145542c9798444b8dcc1ca90565f80924af77558ab7a253b4e",
+    }
+
+    @pytest.mark.parametrize("select, kind", sorted(DISTRIBUTED))
+    def test_distributed_build_unchanged(self, select, kind):
+        g = GOLDEN_SELECTOR_GRAPHS[kind]()
+        fn = {"random": select_random, "farthest": select_farthest,
+              "avoid": select_avoid}[select]
+        assert distributed_digest(fn, g) == self.DISTRIBUTED[select, kind]
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_kernels_unchanged(self, kind):
+        g = GOLDEN_SELECTOR_GRAPHS[kind]()
+        assert kernel_digest(g) == self.KERNELS[kind]
 
 
 class TestSpaceAccounting:

@@ -230,7 +230,7 @@ class TestGenerateGrid:
     def test_2x2_is_4cycle(self, grid2):
         assert grid2.vertex_count == 4
         assert grid2.edge_count == 4
-        assert all(grid2.degree(v) == 2 for v in range(4))
+        assert all(len(grid2.adjacency[v]) == 2 for v in range(4))
 
     def test_3x3_counts(self, grid3):
         assert grid3.vertex_count == 9

