@@ -37,7 +37,7 @@ from .heuristics import (
     make_alt_evaluator,
 )
 from .search import QueryResult, astar
-from .sssp import shortest_path_tree
+from .sssp import _check_vertex, shortest_path_tree
 
 METHODS = ("dijkstra", "alt", "alp")
 STRATIFICATIONS = ("none", "by-distance-decile")
@@ -265,13 +265,10 @@ def verify_workload(g: Graph, rows: Sequence) -> VerificationReport:
     order. A row whose source or target is not a vertex of g raises
     ValueError naming the row.
     """
-    n = g.vertex_count
     by_source: dict = {}
     for i, row in enumerate(rows):
         for what in ("source", "target"):
-            v = getattr(row, what)
-            if not (0 <= v < n):
-                raise ValueError(f"row {i}: {what} {v} out of range [0,{n})")
+            _check_vertex(g, getattr(row, what), f"row {i}: {what}")
         by_source.setdefault(row.source, []).append(i)
     violations = []
     for s, indices in by_source.items():
@@ -328,14 +325,21 @@ def _parse_number(text):
 def _report_row(i: int, rec, from_text: bool) -> BenchRow:
     """Report record i as a BenchRow, each field of its _FIELD_TYPES.
     CSV records hold text, which is parsed first; JSON records hold
-    values, which are taken as they are."""
+    values, which are taken as they are. csv.DictReader keys a row's
+    extra cells by None and gives its missing cells None."""
     if not isinstance(rec, dict):
         raise ValueError(f"row {i}: expected an object, got {rec!r}")
+    for name in rec:
+        if name not in _FIELD_TYPES:
+            raise ValueError(f"row {i}: " + ("more cells than the header"
+                             if name is None else f"unknown field {name!r}"))
     kwargs = {}
     for name, kinds in _FIELD_TYPES.items():
         if name not in rec:
             raise ValueError(f"row {i}: missing field {name!r}")
         value = rec[name]
+        if from_text and value is None:
+            raise ValueError(f"row {i}: fewer cells than the header")
         if from_text and str not in kinds:
             value = _parse_number(value)
         if type(value) not in kinds:

@@ -47,6 +47,7 @@ from .embedding import (
 from .graph import (
     Graph,
     GraphError,
+    _content_lines,
     generate_grid,
     generate_random_connected,
     load_dimacs,
@@ -75,10 +76,7 @@ def load_graph_file(path: str) -> Graph:
     """Read a graph file, sniffing DIMACS vs. plain edge list."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("#"):
-            continue
+    for _, line in _content_lines(text, ("c", "#")):
         if line.split()[:2] == ["p", "sp"]:
             return load_dimacs(text)
         return load_edge_list(text)
@@ -112,9 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--graph", required=True, help="graph file (DIMACS or edge list)")
-    common.add_argument("--seed", type=int, default=0)
 
     landmarks = argparse.ArgumentParser(add_help=False)
+    landmarks.add_argument("--seed", type=int, default=0)
     landmarks.add_argument(
         "--strategy", choices=tuple(_SELECTORS), default="random",
         help="landmark selection strategy",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import BinaryIO, Union
 
 from .graph import Graph
-from .sssp import landmark_matrix, multi_source_spt, shortest_path_tree
+from .sssp import _check_vertex, landmark_matrix, multi_source_spt, shortest_path_tree
 
 _MAGIC = b"LEMB"
 _VERSION = 1
@@ -96,8 +96,7 @@ def _check_k(g: Graph, k: int) -> None:
 
 def _check_landmarks(g: Graph, L: LandmarkSet) -> None:
     for l in L.ids:
-        if not (0 <= l < g.vertex_count):
-            raise ValueError(f"landmark {l} out of range [0,{g.vertex_count})")
+        _check_vertex(g, l, "landmark")
 
 
 def select_random(g: Graph, k: int, seed: int) -> LandmarkSet:
@@ -350,8 +349,10 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     On a seekable stream the counts in the header are checked against
     the bytes that follow before any payload is read; on any stream the
     payload is read in bounded pieces. Either way a corrupt count fails
-    with ValueError instead of a huge read. Bytes after the payload, and
-    a NaN or negative stored distance, fail with ValueError too.
+    with ValueError instead of a huge read. So do bytes after the
+    payload, a NaN or negative distance, and what no build writes and
+    the dual-landmark bound cannot take: a 0 between distinct landmarks
+    (a divisor) or an infinite owner distance.
     """
     head = _read_exact(stream, 8, "header")
     magic, version, kind = struct.unpack("<4sBB2x", head)
@@ -377,10 +378,19 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     [ids], *blocks = [_read_block(stream, *section) for section in layout]
     if left is None and stream.read(1):
         raise ValueError("embedding file has bytes after the payload")
+    for i, row in enumerate(blocks[-1]):
+        if row.count(0) > (row[i] == 0):
+            j = next(j for j, x in enumerate(row) if x == 0 and j != i)
+            raise ValueError(f"embedding file has a 0 off the diagonal of "
+                             f"the landmark matrix, at ({i},{j})")
     L = LandmarkSet(tuple(ids))
     if kind == _KIND_FULL:
         return AltEmbedding(L, *blocks)
     [owner], [dist], lmatrix = blocks
+    if math.inf in dist:
+        raise ValueError(
+            f"vertex {dist.index(math.inf)} has an infinite owner distance"
+        )
     top = max(owner, default=0)
     if top >= k:
         raise ValueError(

@@ -10,8 +10,8 @@ Two text formats are supported:
   problem line, and ``a <u> <v> <w>`` arc lines with 1-based ids.
   Reciprocal arc pairs collapse into a single undirected edge; an arc that
   appears in only one direction is treated as undirected as well.
-* Plain edge list: a ``<n>`` header line, then one ``u v [w]`` line per
-  edge with 0-based ids (weight defaults to 1).
+* Plain edge list: ``#`` comment lines, a ``<n>`` header line, then one
+  ``u v [w]`` line per edge with 0-based ids (weight defaults to 1).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 
 class GraphError(ValueError):
@@ -123,7 +123,17 @@ def _plain(text: str) -> str:
     return text
 
 
-def _parse_weight(text: str, context: str) -> "int | float":
+def _content_lines(stream: "TextIO | str", comments: "str | tuple") -> Iterator:
+    """(line number, stripped line) for each line of text, or of what a
+    stream reads, that is neither blank nor starts with one of comments."""
+    text = stream if isinstance(stream, str) else stream.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith(comments):
+            yield lineno, line
+
+
+def _parse_weight(text: str, lineno: int) -> "int | float":
     try:
         # Of a plain numeral, int() takes only a '-' and digits; asking
         # first spares each float weight a raised ValueError.
@@ -131,9 +141,9 @@ def _parse_weight(text: str, context: str) -> "int | float":
             return int(text)
         w = float(text)
     except ValueError:
-        raise GraphError(f"{context}: bad weight {text!r}") from None
+        raise GraphError(f"line {lineno}: bad weight {text!r}") from None
     if not math.isfinite(w):
-        raise GraphError(f"{context}: non-finite weight {text!r}")
+        raise GraphError(f"line {lineno}: non-finite weight {text!r}")
     return w
 
 
@@ -144,18 +154,11 @@ def load_dimacs(stream: "TextIO | str") -> Graph:
     the number of ``a`` lines. A pair of reciprocal arcs must agree on
     weight and becomes one edge.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = stream.read().splitlines()
     n = m = -1
     arcs = 0
     merged: dict[tuple[int, int], float] = {}
     directed_seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in _content_lines(stream, "c"):
         parts = line.split()
         if parts[0] == "p":
             if n >= 0:
@@ -177,7 +180,7 @@ def load_dimacs(stream: "TextIO | str") -> Graph:
                 u, v = int(_plain(parts[1])) - 1, int(_plain(parts[2])) - 1
             except ValueError:
                 raise GraphError(f"line {lineno}: bad vertex id") from None
-            w = _parse_weight(parts[3], f"line {lineno}")
+            w = _parse_weight(parts[3], lineno)
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"line {lineno}: vertex id out of range 1..{n}")
             if u == v:
@@ -225,16 +228,9 @@ def save_edge_list(g: Graph, stream: TextIO) -> None:
 
 def load_edge_list(stream: "TextIO | str") -> Graph:
     """Parse the plain edge-list format: ``n`` header, then ``u v [w]`` lines."""
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = stream.read().splitlines()
     n = -1
     edges = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(stream, "#"):
         parts = line.split()
         if n < 0:
             if len(parts) != 1:
@@ -252,7 +248,7 @@ def load_edge_list(stream: "TextIO | str") -> Graph:
             u, v = int(_plain(parts[0])), int(_plain(parts[1]))
         except ValueError:
             raise GraphError(f"line {lineno}: bad vertex id") from None
-        w = _parse_weight(parts[2], f"line {lineno}") if len(parts) == 3 else 1
+        w = _parse_weight(parts[2], lineno) if len(parts) == 3 else 1
         edges.append((lineno, (u, v, w)))
     if n < 0:
         raise GraphError("missing vertex-count header")

@@ -120,22 +120,14 @@ def alp_components(e: DistributedEmbedding, v: int, t: int) -> dict:
     a = e.dist_to_owner[v]
     b = e.dist_to_owner[t]
     D = e.lmatrix[l1][l2]
-    if l1 == l2:
-        return {
-            "pi1": abs(a - D) - b,
-            "pi2": abs(a - b) - D,
-            "pi3": abs(D - b) - a,
-            "pi4": abs(a - b),
-            "pi5": abs(a - b),
-            "pi6": None,
-        }
+    same = l1 == l2
     return {
         "pi1": abs(a - D) - b,
         "pi2": abs(a - b) - D,
         "pi3": abs(D - b) - a,
-        "pi4": None,
-        "pi5": None,
-        "pi6": (abs(a - D) * abs(D - b) - a * b) / D,
+        "pi4": abs(a - b) if same else None,
+        "pi5": abs(a - b) if same else None,
+        "pi6": None if same else (abs(a - D) * abs(D - b) - a * b) / D,
     }
 
 

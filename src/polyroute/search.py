@@ -26,6 +26,7 @@ from heapq import heappop, heappush
 
 from .graph import Graph
 from .heuristics import Evaluator, OpCounters
+from .sssp import _check_vertex
 
 INF = math.inf
 
@@ -71,11 +72,9 @@ def astar(
     (value, subtractions, multiplications, divisions, arity). h=None
     searches without a bound: zero evaluations and zero totals.
     """
+    _check_vertex(g, source, "source")
+    _check_vertex(g, target, "target")
     n = g.vertex_count
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range [0,{n})")
-    if not (0 <= target < n):
-        raise ValueError(f"target {target} out of range [0,{n})")
     g_dist = [INF] * n
     parent = [-1] * n
     closed = bytearray(n)

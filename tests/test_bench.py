@@ -366,8 +366,29 @@ class TestReportIO:
 
     def test_csv_short_row_rejected(self):
         text = ",".join(CSV_HEADER) + "\nalt,1,2\n"
-        with pytest.raises(ValueError, match="^row 0: distance must be int or float"):
+        with pytest.raises(ValueError, match="^row 0: fewer cells than the header$"):
             load_report(io.StringIO(text), "csv")
+
+    def _csv_lines(self):
+        sink = io.StringIO()
+        emit_report(self._rows()[:2], "csv", sink)
+        return sink.getvalue().splitlines()
+
+    @pytest.mark.parametrize("change, error", [
+        (lambda line: line + ",extra", "more cells than the header"),
+        (lambda line: line.rsplit(",", 1)[0], "fewer cells than the header"),
+    ], ids=["extra-cell", "short-by-one"])
+    def test_csv_row_of_other_length_rejected(self, change, error):
+        lines = self._csv_lines()
+        lines[2] = change(lines[2])
+        with pytest.raises(ValueError, match=f"^row 1: {error}$"):
+            load_report(io.StringIO("\n".join(lines) + "\n"), "csv")
+
+    def test_json_unknown_field_rejected(self):
+        records = self._json_records()
+        records[1]["bogus"] = 0
+        with pytest.raises(ValueError, match="^row 1: unknown field 'bogus'$"):
+            load_report(io.StringIO(json.dumps(records)), "json")
 
 
 class TestSummarize:

@@ -139,7 +139,13 @@ class TestPreprocess:
         # header 24 bytes, two landmark ids, six u64 owners, then distances
         (88, struct.pack("<d", math.nan),
          "embedding file has a NaN or negative value in the owner distances"),
-    ], ids=["bytes-after-payload", "nan-distance"])
+        (96, struct.pack("<d", math.inf),
+         "vertex 1 has an infinite owner distance"),
+        # then the 2 x 2 landmark matrix at 136
+        (144, struct.pack("<d", 0.0), "embedding file has a 0 off the "
+         "diagonal of the landmark matrix, at (0,1)"),
+    ], ids=["bytes-after-payload", "nan-distance", "inf-owner-distance",
+            "zero-between-landmarks"])
     def test_embedding_payload_corrupt(self, p6_file, tmp_path, capsys, at,
                                        patch, message):
         emb = tmp_path / "p6.lemb"
@@ -350,6 +356,14 @@ class TestTopLevel:
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_verify_takes_no_seed(self, tmp_path, capsys):
+        # verify draws nothing at random, so a --seed there is a mistake
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "1", "--graph", str(tmp_path / "g.gr"),
+                  "--report", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_unreadable_report_is_clean_error(self, tmp_path, capsys):
         gr = tmp_path / "g.gr"

@@ -6,6 +6,7 @@ import io
 import math
 import os
 import random
+import re
 import struct
 
 import pytest
@@ -649,15 +650,20 @@ def lemb_embeddings(draw):
     ids = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4,
                         unique=True))
     k, nv = len(ids), draw(st.integers(1, 6))
-    rows = lambda count, per: [
-        draw(st.lists(lemb_values, min_size=per, max_size=per))
+    rows = lambda count, per, values=lemb_values: [
+        draw(st.lists(values, min_size=per, max_size=per))
         for _ in range(count)
     ]
-    L, lmatrix = LandmarkSet(tuple(ids)), rows(k, k)
+    # load_embedding refuses a 0 between two distinct landmarks and an
+    # infinite owner distance, so neither is drawn.
+    L = LandmarkSet(tuple(ids))
+    lmatrix = [[draw(lemb_values if i == j else lemb_values.filter(bool))
+                for j in range(k)] for i in range(k)]
     if draw(st.booleans()):
         return AltEmbedding(L, rows(k, nv), lmatrix)
     owner = draw(st.lists(st.integers(0, k - 1), min_size=nv, max_size=nv))
-    return DistributedEmbedding(L, owner, rows(1, nv)[0], lmatrix)
+    finite = lemb_values.filter(math.isfinite)
+    return DistributedEmbedding(L, owner, rows(1, nv, finite)[0], lmatrix)
 
 
 def stored_fields(e):
@@ -718,6 +724,28 @@ class TestLembLayout:
                 f"value in the {name}$"
             ):
                 load_embedding(io.BytesIO(corrupt))
+
+    # matrix sections at byte offsets 120 (full) and 136 (distributed);
+    # the golden full embedding holds inf off its diagonal, and loads
+    @pytest.mark.parametrize("which, at, entry", [
+        (0, 128, "(0,1)"), (0, 136, "(1,0)"), (1, 144, "(0,1)"), (1, 152, "(1,0)"),
+    ])
+    def test_zero_between_distinct_landmarks_fails(self, which, at, entry):
+        data = lemb_bytes(self.golden()[which])
+        corrupt = data[:at] + struct.pack("<d", 0.0) + data[at + 8:]
+        with pytest.raises(ValueError, match=re.escape(
+                "embedding file has a 0 off the diagonal of the landmark "
+                f"matrix, at {entry}")):
+            load_embedding(io.BytesIO(corrupt))
+
+    @pytest.mark.parametrize("v", range(6))
+    def test_infinite_owner_distance_fails(self, v):
+        data = lemb_bytes(self.golden()[1])
+        at = 88 + 8 * v
+        corrupt = data[:at] + struct.pack("<d", math.inf) + data[at + 8:]
+        with pytest.raises(ValueError, match=f"^vertex {v} has an infinite "
+                           "owner distance$"):
+            load_embedding(io.BytesIO(corrupt))
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_bytes_after_payload_fail(self, which):

@@ -18,6 +18,7 @@ from polyroute import (
     save_edge_list,
     shortest_path_tree,
 )
+from polyroute.cli import load_graph_file
 
 
 class TestBuildGraph:
@@ -221,6 +222,170 @@ class TestEdgeList:
         # the mix of a huge int and a float is a fault of no single line
         with pytest.raises(GraphError, match=r"^edge \(1,2\) has int weight"):
             load_edge_list(f"3\n0 1 0.5\n1 2 {2**53}\n")
+
+
+# Hand-written texts in both formats: (name, text, what the format's own
+# loader gives, what load_graph_file gives for the text saved as a file,
+# or None where that is the same). A graph shows as repr(adjacency), an
+# error as "GraphError: <message>" with the file's path as {path}.
+TEXT_PINS = [
+    ('dimacs-basic', 'c hi\np sp 3 4\na 1 2 1\na 2 1 1\na 2 3 2.5\na 3 2 2.5\n',
+     '[[(1, 1)], [(0, 1), (2, 2.5)], [(1, 2.5)]]',
+     None),
+    ('dimacs-crlf', 'c x\r\np sp 2 2\r\na 1 2 3\r\na 2 1 3\r\n',
+     '[[(1, 3)], [(0, 3)]]',
+     None),
+    ('dimacs-tabs-blank', '\n  c comment\n\n\tp\tsp\t2\t1\n\n a 1 2 7 \n\n',
+     '[[(1, 7)], [(0, 7)]]',
+     None),
+    ('dimacs-c-prefix-word', 'copy\np sp 2 1\ncat 1 2\na 1 2 0.125\n',
+     '[[(1, 0.125)], [(0, 0.125)]]',
+     None),
+    ('dimacs-hash-line', '# note\np sp 2 1\na 1 2 1\n',
+     "GraphError: line 1: unrecognized line '# note'",
+     None),
+    ('dimacs-missing-problem', 'c only\n',
+     'GraphError: missing problem line',
+     'GraphError: {path}: no content lines'),
+    ('dimacs-repeated-problem', 'p sp 2 1\np sp 2 1\na 1 2 1\n',
+     'GraphError: line 2: repeated problem line',
+     None),
+    ('dimacs-bad-problem', 'p sp 2\n',
+     "GraphError: line 1: expected 'p sp <n> <m>'",
+     None),
+    ('dimacs-bad-counts', 'p sp x 1\n',
+     'GraphError: line 1: bad problem line counts',
+     None),
+    ('dimacs-negative-counts', 'p sp -2 1\n',
+     'GraphError: line 1: negative counts',
+     None),
+    ('dimacs-arc-first', 'a 1 2 1\np sp 2 1\n',
+     'GraphError: line 1: arc before problem line',
+     'GraphError: line 1: expected single vertex-count header'),
+    ('dimacs-arc-arity', 'p sp 2 1\na 1 2\n',
+     "GraphError: line 2: expected 'a <u> <v> <w>'",
+     None),
+    ('dimacs-bad-id', 'p sp 2 1\na 1 b 2\n',
+     'GraphError: line 2: bad vertex id',
+     None),
+    ('dimacs-bad-weight', 'p sp 2 1\na 1 2 +1\n',
+     "GraphError: line 2: bad weight '+1'",
+     None),
+    ('dimacs-nonfinite-weight', 'p sp 2 1\na 1 2 inf\n',
+     "GraphError: line 2: non-finite weight 'inf'",
+     None),
+    ('dimacs-out-of-range', 'p sp 2 1\na 1 5 1\n',
+     'GraphError: line 2: vertex id out of range 1..2',
+     None),
+    ('dimacs-self-loop', 'p sp 2 1\na 2 2 1\n',
+     'GraphError: line 2: self-loop arc',
+     None),
+    ('dimacs-nonpositive', 'p sp 2 1\na 1 2 0\n',
+     'GraphError: line 2: nonpositive weight 0',
+     None),
+    ('dimacs-duplicate-arc', 'p sp 2 2\na 1 2 1\na 1 2 1\n',
+     'GraphError: line 3: duplicate arc (1,2)',
+     None),
+    ('dimacs-disagree', 'p sp 2 2\na 1 2 1\na 2 1 2\n',
+     'GraphError: line 3: reciprocal arcs for (1,2) disagree on weight (1 vs 2)',
+     None),
+    ('dimacs-unrecognized', 'p sp 2 1\nx 1 2\na 1 2 1\n',
+     "GraphError: line 2: unrecognized line 'x 1 2'",
+     None),
+    ('dimacs-count-mismatch', 'p sp 2 3\na 1 2 1\n',
+     'GraphError: problem line declares 3 arcs, body has 1',
+     None),
+    ('dimacs-disconnected', 'p sp 3 1\na 1 2 1\n',
+     'GraphError: DIMACS input is not connected',
+     None),
+    ('dimacs-huge-int-next-to-float', 'p sp 3 2\na 1 2 9007199254740992\na 2 3 0.5\n',
+     'GraphError: edge (0,1) has int weight 9007199254740992 >= 2**53 in a graph with float weights; doubles cannot sum it exactly',
+     None),
+    ('edges-basic', '# c\n3\n0 1\n1 2 2.5\n',
+     '[[(1, 1)], [(0, 1), (2, 2.5)], [(1, 2.5)]]',
+     None),
+    ('edges-crlf', '# x\r\n2\r\n0 1 3\r\n',
+     '[[(1, 3)], [(0, 3)]]',
+     None),
+    ('edges-tabs-blank', '\n  # comment\n\n\t2\t\n\n 0\t1 7 \n\n',
+     '[[(1, 7)], [(0, 7)]]',
+     None),
+    ('edges-c-line', 'c comment\n2\n0 1\n',
+     'GraphError: line 1: expected single vertex-count header',
+     None),
+    ('edges-hash-word', '#2\n2\n#0 1\n1 0 4\n',
+     '[[(1, 4)], [(0, 4)]]',
+     None),
+    ('edges-empty', '',
+     'GraphError: missing vertex-count header',
+     'GraphError: {path}: no content lines'),
+    ('edges-only-comments', '# a\n\n# b\n',
+     'GraphError: missing vertex-count header',
+     'GraphError: {path}: no content lines'),
+    ('edges-two-field-header', '3 4\n',
+     'GraphError: line 1: expected single vertex-count header',
+     None),
+    ('edges-bad-count', 'x\n',
+     'GraphError: line 1: bad vertex count',
+     None),
+    ('edges-negative-count', '-1\n',
+     'GraphError: line 1: negative vertex count',
+     None),
+    ('edges-arity', '2\n0\n',
+     "GraphError: line 2: expected 'u v [w]'",
+     None),
+    ('edges-bad-id', '2\n0 a\n',
+     'GraphError: line 2: bad vertex id',
+     None),
+    ('edges-bad-weight', '2\n0 1 x\n',
+     "GraphError: line 2: bad weight 'x'",
+     None),
+    ('edges-plus-weight', '2\n0 1 +1\n',
+     "GraphError: line 2: bad weight '+1'",
+     None),
+    ('edges-nonfinite', '2\n0 1 1e999\n',
+     "GraphError: line 2: non-finite weight '1e999'",
+     None),
+    ('edges-out-of-range', '2\n0 5\n',
+     'GraphError: line 2: edge (0,5) endpoint out of range [0,2)',
+     None),
+    ('edges-self-loop', '2\n1 1\n',
+     'GraphError: line 2: self-loop at vertex 1',
+     None),
+    ('edges-duplicate', '2\n0 1\n1 0\n',
+     'GraphError: line 3: duplicate edge (1,0)',
+     None),
+    ('edges-nonpositive', '2\n0 1 -0.5\n',
+     'GraphError: line 2: edge (0,1) has nonpositive weight -0.5',
+     None),
+    ('edges-disconnected', '3\n0 1\n',
+     'GraphError: edge-list input is not connected',
+     None),
+    ('edges-huge-int-next-to-float', '3\n0 1 9007199254740992\n1 2 0.5\n',
+     'GraphError: edge (0,1) has int weight 9007199254740992 >= 2**53 in a graph with float weights; doubles cannot sum it exactly',
+     None),
+]
+
+
+class TestTextPins:
+    @staticmethod
+    def outcome(load, arg):
+        try:
+            return repr(load(arg).adjacency)
+        except GraphError as exc:
+            return f"GraphError: {exc}"
+
+    @pytest.mark.parametrize("name, text, loaded, from_file", TEXT_PINS,
+                             ids=[pin[0] for pin in TEXT_PINS])
+    def test_loader_and_file_sniffing(self, tmp_path, name, text, loaded,
+                                      from_file):
+        load = load_dimacs if name.startswith("dimacs") else load_edge_list
+        assert self.outcome(load, text) == loaded
+        assert self.outcome(load, io.StringIO(text)) == loaded
+        path = tmp_path / name
+        path.write_bytes(text.encode("ascii"))
+        expected = (from_file or loaded).replace("{path}", str(path))
+        assert self.outcome(load_graph_file, str(path)) == expected
 
 
 class TestGenerateGrid:

@@ -1,6 +1,8 @@
 """Heuristic values, candidate bounds, counters, scenario labels."""
 
+import hashlib
 import io
+import math
 import random
 
 import pytest
@@ -27,6 +29,7 @@ from polyroute import (
 )
 from polyroute.heuristics import _packed_columns
 
+import corpusdef
 import oracles
 
 
@@ -84,6 +87,25 @@ class TestAlpComponents:
     def test_same_vertex_shared_owner(self, p6_pair):
         _, alp_e = p6_pair
         assert alp_components(alp_e, 1, 1)["pi4"] == 0
+
+    # SHA-256 of repr(alp_components(e, v, t)) over every ordered pair
+    # (v, t) of corpus graphs 0-2, recorded before the candidates were
+    # written once for both owner cases.
+    GOLDEN = {
+        0: "d37c56e2d9bb500811cd39e1167738c4b5580bd3991fc8d3268990d0267a21ce",
+        1: "63c05fbb8c68a603759c974815cdfaa86f4c70b1c2a5ffb11f37c4a6b367bbb7",
+        2: "41a9c48a26c9619c9aab27e200546f1af695f6c5c4f5b39fd0abb672466bc7e7",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_corpus_golden(self, seed):
+        g = corpusdef.corpus_graph(seed)
+        e = build_distributed_embedding(g, corpusdef.corpus_landmarks(g, seed))
+        digest = hashlib.sha256()
+        for v in range(g.vertex_count):
+            for t in range(g.vertex_count):
+                digest.update(repr(alp_components(e, v, t)).encode())
+        assert digest.hexdigest() == self.GOLDEN[seed]
 
 
 class TestAlpDualH:
@@ -226,6 +248,24 @@ def round_trip(e):
     save_embedding(e, buf)
     buf.seek(0)
     return load_embedding(buf)
+
+
+def test_disconnected_round_trip_is_exact():
+    """One landmark per component: the saved matrix holds inf off its
+    diagonal, loads back, and every query through it stays exact."""
+    g = build_graph(7, [(0, 1, 1), (1, 2, 0.5), (3, 4, 2), (4, 5, 1),
+                        (5, 6, 0.25)])
+    L = LandmarkSet((1, 5))
+    alp_e = round_trip(build_distributed_embedding(g, L))
+    assert alp_e.lmatrix == [[0, math.inf], [math.inf, 0]]
+    evaluators = [make_alt_evaluator(round_trip(build_alt_embedding(g, L)))]
+    for kw in ({}, {"mode": "optimized"}, {"ptolemy_enabled": False}):
+        evaluators.append(make_alp_evaluator(alp_e, **kw))
+    rows = all_pairs_oracle(g)
+    for h in evaluators:
+        for s in range(7):
+            for t in range(7):
+                assert astar(g, s, t, h).distance == rows[s][t]
 
 
 def eighths(rng):
