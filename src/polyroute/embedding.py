@@ -118,15 +118,13 @@ def select_farthest(g: Graph, k: int, seed: int) -> LandmarkSet:
     _check_k(g, k)
     start = random.Random(seed).randrange(g.vertex_count)
     chosen: list = []
-    taken = set()
     rows: list = []  # full tree from each chosen landmark but the last
     # Distances from the start pick the first landmark only; afterwards
     # min_dist tracks min over chosen landmarks, start excluded.
     min_dist = shortest_path_tree(g, start).dist
     while True:
-        best = _farthest(min_dist, taken)
+        best = _farthest(min_dist)
         chosen.append(best)
-        taken.add(best)
         if len(chosen) == k:
             break
         row = shortest_path_tree(g, best).dist
@@ -172,7 +170,7 @@ def select_avoid(g: Graph, k: int, seed: int) -> LandmarkSet:
             weight[v] = w if w > 0 else 0
         pick = _descend_heaviest(g, spt, weight)
         if pick is None or pick in chosen:
-            pick = _farthest(min_dist, set(chosen))
+            pick = _farthest(min_dist)
         chosen.append(pick)
         rows.append(shortest_path_tree(g, pick).dist)
         _lower_to(min_dist, rows[-1])
@@ -186,15 +184,12 @@ def _lower_to(min_dist: list, row: list) -> None:
             min_dist[v] = row[v]
 
 
-def _farthest(min_dist: list, taken: set) -> int:
-    """The vertex outside taken with the largest min_dist, ties to the
-    smallest id."""
-    best = -1
-    best_d = -1
-    for v in range(len(min_dist)):
-        if v not in taken and min_dist[v] > best_d:
-            best, best_d = v, min_dist[v]
-    return best
+def _farthest(min_dist: list) -> int:
+    """The vertex with the largest min_dist, ties to the smallest id.
+    Callers keep min_dist 0 at every chosen landmark and, weights being
+    positive, above 0 at every other vertex, so no landmark is picked
+    twice."""
+    return min_dist.index(max(min_dist))
 
 
 def _with_matrix(g: Graph, chosen: list, rows: list) -> LandmarkSet:
@@ -351,8 +346,9 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     payload is read in bounded pieces. Either way a corrupt count fails
     with ValueError instead of a huge read. So do bytes after the
     payload, a NaN or negative distance, and what no build writes and
-    the dual-landmark bound cannot take: a 0 between distinct landmarks
-    (a divisor) or an infinite owner distance.
+    the dual-landmark bound cannot take: a nonzero distance from a
+    landmark to itself, a 0 between distinct landmarks (a divisor) or an
+    infinite owner distance.
     """
     head = _read_exact(stream, 8, "header")
     magic, version, kind = struct.unpack("<4sBB2x", head)
@@ -379,7 +375,10 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     if left is None and stream.read(1):
         raise ValueError("embedding file has bytes after the payload")
     for i, row in enumerate(blocks[-1]):
-        if row.count(0) > (row[i] == 0):
+        if row[i] != 0:
+            raise ValueError(f"embedding file has a nonzero diagonal entry "
+                             f"of the landmark matrix, at ({i},{i})")
+        if row.count(0) > 1:
             j = next(j for j, x in enumerate(row) if x == 0 and j != i)
             raise ValueError(f"embedding file has a 0 off the diagonal of "
                              f"the landmark matrix, at ({i},{j})")

@@ -6,10 +6,12 @@ set is settled, and the quadratic test oracle. A vertex's owner is the
 position, in the sources given, of its nearest source. Unreached
 vertices carry dist = inf and owner/parent = -1.
 
-Determinism: the heap is keyed (distance, owner, vertex id), and a
-relaxation that ties on distance is accepted only when it lowers the
-owner, so owner assignment and parent pointers are reproducible and
-equal-distance ties go to the source listed first.
+Determinism: the kernel settles vertices one distance level at a time,
+each level in vertex id order, and a relaxation that ties on distance is
+accepted only when it lowers the owner. Owners and parent pointers are
+therefore reproducible, equal-distance ties go to the source listed
+first, and the result is the one a heap keyed (distance, owner, vertex
+id) gives.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .graph import Graph
@@ -84,50 +86,117 @@ def _count(kind: str) -> None:
 def _run_kernel(
     g: Graph, sources: Sequence[int], stop_at: "set | None" = None
 ) -> DistanceMap:
-    """Dijkstra with lazy deletion from several sources at once.
+    """Dijkstra from several sources at once, one distance level at a
+    time.
 
-    At equal distance the source listed first wins. If stop_at is given,
-    the run ends once every vertex in it is settled; distances outside
-    the settled region are then only upper bounds and are reported as
-    unreached.
+    keys is a heap holding each distinct tentative distance once, and
+    level[d] lists the vertices that reached d (a vertex whose distance
+    fell since is stale there). Weights are positive, so a level is
+    complete when it leaves the heap, and it is settled in id order. For
+    the vertices of one owner that is the order of a heap keyed
+    (distance, owner, id), and an equal-distance relaxation wins only
+    with a lower owner, so the result is the one that heap gives.
+
+    A weight absorbed by the sum (d + w == d in floating point) ties two
+    vertices of one level. From the first one on, the rest of the level
+    is settled from a heap keyed (owner, id); a vertex whose owner such
+    a weight lowers is pushed there, and settled again if it already was.
+
+    At equal distance the source listed first wins. If stop_at is given
+    (callers give it with one source), the run ends once every vertex in
+    it is settled; distances outside the settled region are then only
+    upper bounds and are reported as unreached.
     """
     n = g.vertex_count
     dist = [INF] * n
     owner = [-1] * n
     parent = [-1] * n
-    done = bytearray(n)
-    heap = []
     for r, s in enumerate(sources):
         # A later duplicate would overwrite the first one's owner; callers
         # reject duplicates before reaching the kernel.
         dist[s] = 0
         owner[s] = r
-        heappush(heap, (0, r, s))
+    keys = [0]
+    level = {0: list(sources)}
     adj = g.adjacency
     pending = set(stop_at) if stop_at is not None else None
-    while heap:
-        d, r, u = heappop(heap)
-        if done[u] or d > dist[u] or r > owner[u]:
-            continue
-        done[u] = 1
-        if pending is not None:
-            pending.discard(u)
-            if not pending:
-                break
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v] or (nd == dist[v] and r < owner[v]):
-                dist[v] = nd
-                owner[v] = r
-                parent[v] = u
-                heappush(heap, (nd, r, v))
+    done = bytearray(n) if stop_at is not None else None
+    while keys:
+        d = heappop(keys)
+        batch = level.pop(d)
+        batch.sort()
+        rest = None  # heap of (owner, id), once a weight is absorbed
+        order = batch
+        while order is not None:
+            for u in order:
+                du = dist[u]
+                if du < d:
+                    continue
+                r = owner[u]
+                if pending is not None:
+                    done[u] = 1
+                    pending.discard(u)
+                    if not pending:
+                        return _settled_only(dist, owner, parent, done)
+                for v, w in adj[u]:
+                    nd = du + w
+                    dv = dist[v]
+                    if nd < dv:
+                        lst = level.get(nd)
+                        if lst is not None:
+                            lst.append(v)
+                        elif nd == d:
+                            if rest is None:
+                                rest = _rest_of(batch, u, d, dist, owner)
+                            heappush(rest, (r, v))
+                        else:
+                            level[nd] = [v]
+                            heappush(keys, nd)
+                        dist[v] = nd
+                        owner[v] = r
+                        parent[v] = u
+                    elif nd == dv and r < owner[v]:
+                        if nd == d:
+                            if rest is None:
+                                rest = _rest_of(batch, u, d, dist, owner)
+                            heappush(rest, (r, v))
+                        dist[v] = nd
+                        owner[v] = r
+                        parent[v] = u
+            order = _drain(rest, owner) if rest and order is batch else None
     if pending is not None:
-        # Report only settled vertices; the frontier holds upper bounds.
-        for v in range(n):
-            if not done[v]:
-                dist[v] = INF
-                owner[v] = -1
-                parent[v] = -1
+        return _settled_only(dist, owner, parent, done)
+    return DistanceMap(dist, owner, parent)
+
+
+def _rest_of(batch: list, u: int, d, dist: list, owner: list) -> list:
+    """Cuts the level batch after u, the vertex being settled, and
+    returns the unsettled rest as a heap of (owner, id)."""
+    i = batch.index(u) + 1
+    rest = [(owner[x], x) for x in batch[i:] if dist[x] == d]
+    del batch[i:]
+    heapify(rest)
+    return rest
+
+
+def _drain(rest: list, owner: list):
+    """Pops rest in (owner, id) order, skipping an entry whose vertex has
+    since taken a lower owner; pushes made meanwhile are popped in turn."""
+    while rest:
+        r, v = heappop(rest)
+        if owner[v] == r:
+            yield v
+
+
+def _settled_only(dist: list, owner: list, parent: list,
+                  done: bytearray) -> DistanceMap:
+    """The run so far, with every vertex not yet settled reported as
+    unreached: outside the settled region distances are upper bounds."""
+    for v in range(len(dist)):
+        if not done[v]:
+            dist[v] = INF
+            owner[v] = -1
+            parent[v] = -1
     return DistanceMap(dist, owner, parent)
 
 

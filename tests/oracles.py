@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive and written against raw edge lists,
 not the package's Graph type, so a bug in the package cannot hide in the
-oracle. Bellman-Ford relaxation to a fixed point is the distance oracle;
-the heuristic bounds are recomputed from first principles.
+oracle. Bellman-Ford relaxation to a fixed point is the distance oracle,
+a plain tuple-heap Dijkstra the oracle of the kernel's tie rule, and the
+heuristic bounds are recomputed from first principles.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 INF = math.inf
@@ -72,3 +74,48 @@ def quadrilateral_bounds(a: float, b: float, big_d: float) -> list:
 def ratio_bound(a: float, b: float, big_d: float) -> float:
     """The cross-ratio lower bound on d(v,t) for distinct owner landmarks."""
     return (abs(a - big_d) * abs(big_d - b) - a * b) / big_d
+
+
+def heap_kernel(n: int, edges: list, sources: list, watch=None) -> tuple:
+    """(dist, owner, parent) of Dijkstra from sources, with every heap
+    entry keyed (distance, source rank, vertex id): the tie rule the
+    package's kernel must reproduce, written out over raw edges.
+
+    A vertex takes a candidate that is shorter, or equally short from a
+    source listed earlier; owner[v] is that source's rank. With watch,
+    the run stops once every vertex in it is settled and reports only
+    settled vertices; the others get dist inf and owner and parent -1.
+    """
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    dist = [INF] * n
+    owner = [-1] * n
+    parent = [-1] * n
+    settled = [False] * n
+    heap = []
+    for r, s in enumerate(sources):
+        dist[s] = 0
+        owner[s] = r
+        heap.append((0, r, s))
+    heapq.heapify(heap)
+    waiting = set(watch) if watch is not None else None
+    while heap:
+        d, r, u = heapq.heappop(heap)
+        if settled[u] or (d, r) != (dist[u], owner[u]):
+            continue
+        settled[u] = True
+        if waiting is not None:
+            waiting.discard(u)
+            if not waiting:
+                break
+        for v, w in adj[u]:
+            if (d + w, r) < (dist[v], owner[v]):
+                dist[v], owner[v], parent[v] = d + w, r, u
+                heapq.heappush(heap, (d + w, r, v))
+    if waiting is not None:
+        for v in range(n):
+            if not settled[v]:
+                dist[v], owner[v], parent[v] = INF, -1, -1
+    return dist, owner, parent

@@ -654,10 +654,10 @@ def lemb_embeddings(draw):
         draw(st.lists(values, min_size=per, max_size=per))
         for _ in range(count)
     ]
-    # load_embedding refuses a 0 between two distinct landmarks and an
-    # infinite owner distance, so neither is drawn.
+    # load_embedding refuses a nonzero diagonal, a 0 between two distinct
+    # landmarks and an infinite owner distance, so none is drawn.
     L = LandmarkSet(tuple(ids))
-    lmatrix = [[draw(lemb_values if i == j else lemb_values.filter(bool))
+    lmatrix = [[0 if i == j else draw(lemb_values.filter(bool))
                 for j in range(k)] for i in range(k)]
     if draw(st.booleans()):
         return AltEmbedding(L, rows(k, nv), lmatrix)
@@ -736,6 +736,21 @@ class TestLembLayout:
         with pytest.raises(ValueError, match=re.escape(
                 "embedding file has a 0 off the diagonal of the landmark "
                 f"matrix, at {entry}")):
+            load_embedding(io.BytesIO(corrupt))
+
+    # diagonal entries (0,0) and (1,1) of the matrix sections at byte
+    # offsets 120 (full) and 136 (distributed)
+    @pytest.mark.parametrize("bad", [9.0, 0.5, math.inf])
+    @pytest.mark.parametrize("which, at, i", [
+        (0, 120, 0), (0, 144, 1), (1, 136, 0), (1, 160, 1),
+    ])
+    def test_nonzero_diagonal_fails(self, which, at, i, bad):
+        data = lemb_bytes(self.golden()[which])
+        assert struct.unpack_from("<d", data, at) == (0.0,)
+        corrupt = data[:at] + struct.pack("<d", bad) + data[at + 8:]
+        with pytest.raises(ValueError, match=re.escape(
+                "embedding file has a nonzero diagonal entry of the "
+                f"landmark matrix, at ({i},{i})")):
             load_embedding(io.BytesIO(corrupt))
 
     @pytest.mark.parametrize("v", range(6))

@@ -4,6 +4,7 @@ import math
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyroute import (
     all_pairs_oracle,
@@ -139,6 +140,80 @@ class TestTruncated:
         assert dm.dist[2] == 2
         # far end not settled before the stop set completed
         assert dm.dist[5] == math.inf
+
+
+# Weight kinds for the kernel property: ties (int), exact binary fractions
+# (eighths), rounded sums (tenths), int and float weights in one graph, and
+# weights that 1e17-long paths absorb (1e17 + 1.0 == 1e17 in doubles).
+KERNEL_WEIGHTS = {
+    "int": st.integers(1, 4),
+    "eighths": st.integers(1, 40).map(lambda j: j / 8),
+    "tenths": st.integers(1, 30).map(lambda j: j / 10),
+    "mixed": st.sampled_from([1, 2, 0.5, 1.5, 2.0]),
+    "absorbed": st.sampled_from([1e17, 2e17, 1.0, 2.0]),
+}
+
+
+@st.composite
+def kernel_cases(draw):
+    """(n, edges, sources, watch): a random graph, connected or not, a
+    list of distinct sources and a watch set for a truncated run."""
+    n = draw(st.integers(1, 14))
+    weight = KERNEL_WEIGHTS[draw(st.sampled_from(sorted(KERNEL_WEIGHTS)))]
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    chosen = set()
+    if draw(st.booleans()):  # a spanning tree first: connected
+        chosen |= {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    chosen |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+                  if pairs else [])
+    edges = [(u, v, draw(weight)) for u, v in sorted(chosen)]
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                            max_size=min(n, 5), unique=True))
+    watch = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    return n, edges, sources, watch
+
+
+def as_reference(dm):
+    """The run as the reference kernel returns it; repr tells 1 from 1.0."""
+    return repr((dm.dist, dm.owner, dm.parent))
+
+
+class TestKernelMatchesReference:
+    """Every kernel entry point gives the (dist, owner, parent) of the
+    reference tuple-heap Dijkstra, type of each distance included."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(kernel_cases())
+    def test_random_graphs(self, case):
+        n, edges, sources, watch = case
+        g = build_graph(n, edges)
+        ref = lambda srcs, w=None: repr(oracles.heap_kernel(n, edges, srcs, w))
+        assert as_reference(shortest_path_tree(g, sources[0])) == ref(sources[:1])
+        assert as_reference(multi_source_spt(g, sources)) == ref(sources)
+        assert (as_reference(truncated_spt(g, sources[0], watch))
+                == ref(sources[:1], watch))
+
+    ABSORBED = [(0, 1, 1e17), (1, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0),
+                (3, 4, 2.0), (4, 5, 1e17), (0, 5, 3e17)]
+
+    def test_absorbed_weights(self):
+        g = build_graph(6, self.ABSORBED)
+        ref = lambda srcs, w=None: repr(oracles.heap_kernel(6, self.ABSORBED,
+                                                            srcs, w))
+        for s in range(6):
+            assert as_reference(shortest_path_tree(g, s)) == ref([s])
+            for t in range(6):
+                assert as_reference(truncated_spt(g, s, (t,))) == ref([s], [t])
+                if t != s:
+                    assert as_reference(multi_source_spt(g, (s, t))) == ref([s, t])
+        # 1e17 + 1.0 == 1e17: vertices 1-4 share one level
+        dm = shortest_path_tree(g, 0)
+        assert dm.dist == [0, 1e17, 1e17, 1e17, 1e17, 2e17]
+        assert dm.parent == [-1, 0, 1, 1, 2, 4]
+        # vertex 1 is first settled under source 0, then taken by source 5
+        # through 5-4-2-1 at the same distance
+        dm = multi_source_spt(g, (5, 0))
+        assert (dm.owner, dm.parent) == ([1, 0, 0, 0, 0, 0], [-1, 2, 4, 4, 5, -1])
 
 
 class TestAllPairsOracle:
