@@ -21,6 +21,14 @@ Two heuristics over the two embeddings:
   candidates); the clamp matters because every candidate can go
   negative.
 
+  Cross-owner, with a, b >= 0 and D > 0, pi6 <= max(pi1, pi3), so
+  max(0, pi1, pi2, pi3, pi6) = max(0, D - a - b, |a - b| - D). By cases:
+  a, b <= D gives pi6 = pi1 = pi3 = D - a - b; a > D >= b gives pi6 - pi1
+  = 2b(1 - a/D) <= 0; a <= D < b gives pi6 - pi3 = 2a(1 - b/D) <= 0; a, b
+  > D gives pi6 = D - a - b < 0. alp_dual_h keeps every candidate as the
+  reference; make_alp_evaluator computes only the two surviving terms,
+  which round differently on decimal weights (see make_alp_evaluator).
+
 Operation counting: a binary minus counts as one subtraction whether or
 not it sits inside an absolute value; taking the absolute value itself
 is free. Two counting modes:
@@ -38,7 +46,7 @@ is free. Two counting modes:
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from math import isfinite
 from operator import sub
 from struct import pack
@@ -254,15 +262,14 @@ def make_alp_evaluator(
 ) -> Evaluator:
     """Closure form of alp_dual_h for the search inner loop.
 
-    Identical values to alp_dual_h in every mode; per-call counter
-    constants come from the declared mode.
+    Cross-owner pairs take the two-term form of the module docstring in
+    every mode; counter constants come from the declared mode. Values
+    equal alp_dual_h's wherever the arithmetic is exact (ints, binary
+    fractions) and are never higher on rounded decimals, where pi1, pi3
+    and pi6 round apart (see "Exact decimal weights" in ROADMAP.md).
     """
-    same_c = _alp_counters(True, mode, ptolemy_enabled)
-    cross_c = _alp_counters(False, mode, ptolemy_enabled)
-    s_sub, s_mul, s_div, s_ar = (same_c.subtractions, same_c.multiplications,
-                                 same_c.divisions, same_c.max_arity)
-    c_sub, c_mul, c_div, c_ar = (cross_c.subtractions, cross_c.multiplications,
-                                 cross_c.divisions, cross_c.max_arity)
+    s_sub, s_mul, s_div, s_ar = astuple(_alp_counters(True, mode, ptolemy_enabled))
+    c_sub, c_mul, c_div, c_ar = astuple(_alp_counters(False, mode, ptolemy_enabled))
     owner = e.owner
     dto = e.dist_to_owner
     lmatrix = e.lmatrix
@@ -278,29 +285,17 @@ def make_alp_evaluator(
             if d < 0:
                 d = -d
             return d, s_sub, s_mul, s_div, s_ar
+        # max(0, pi1, pi2, pi3, pi6) = max(0, D - a - b, |a - b| - D), and
+        # D - a - b >= 0 already implies |a - b| - D <= 0.
         D = lmatrix[l1][l2]
-        x = a - D
-        if x < 0:
-            x = -x
-        y = a - b
-        if y < 0:
-            y = -y
-        z = D - b
-        if z < 0:
-            z = -z
-        best = x - b
-        c2 = y - D
-        if c2 > best:
-            best = c2
-        c3 = z - a
-        if c3 > best:
-            best = c3
-        if ptolemy_enabled:
-            c6 = (x * z - a * b) / D
-            if c6 > best:
-                best = c6
+        best = D - a - b
         if best < 0:
-            best = 0
+            best = a - b
+            if best < 0:
+                best = -best
+            best -= D
+            if best < 0:
+                best = 0
         return best, c_sub, c_mul, c_div, c_ar
 
     return h

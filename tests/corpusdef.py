@@ -84,6 +84,7 @@ class CorpusEvidence:
     distance_mismatches: list = field(default_factory=list)
     admissibility_violations: list = field(default_factory=list)
     pi6_violations: list = field(default_factory=list)
+    pi6_wins: int = 0  # cross-owner pairs with pi6 > max(pi1, pi3)
     counter_violations: list = field(default_factory=list)
     space_records: list = field(default_factory=list)
     reduction_violations: list = field(default_factory=list)
@@ -201,9 +202,13 @@ def _analyze_graph(seed: int, ev: CorpusEvidence) -> None:
             a = dto[s]
             b = dto[t]
             D = lmx[owner[s]][owner[t]]
-            pi6 = (abs(a - D) * abs(D - b) - a * b) / D
+            x = abs(a - D)
+            z = abs(D - b)
+            pi6 = (x * z - a * b) / D
             if pi6 > d:
                 _note(ev.pi6_violations, 20, (seed, s, t, d, pi6))
+            if pi6 > max(x - b, z - a):
+                ev.pi6_wins += 1
 
         tag = classify_scenario(alt_e, alp_e, s, t)
         ev.scenario_counts[tag] += 1

@@ -5,6 +5,8 @@ hook prints them after the run, where pytest's capture cannot swallow
 them. Each test also asserts, so a FAIL line always comes with a red
 test. Criteria 1 through 7 read the session-wide corpus evidence
 computed once in conftest; 8 and 9 drive the CLI and bench directly.
+test_ratio_candidate_never_wins reads the same evidence and is no
+criterion, so it prints no verdict line.
 """
 
 import json
@@ -66,6 +68,14 @@ def test_criterion_2_admissibility(corpus):
         detail += f", first_ratio={corpus.pi6_violations[0]}"
     _verdict(2, "admissibility", ok, detail)
     assert ok, detail
+
+
+def test_ratio_candidate_never_wins(corpus):
+    """pi6 <= max(pi1, pi3) on every cross-owner corpus pair, so the
+    search's two-term bound loses nothing by leaving it out."""
+    cross = corpus.pairs_checked - corpus.same_owner_pairs
+    assert cross > 0
+    assert corpus.pi6_wins == 0, f"{corpus.pi6_wins} of {cross} cross-owner pairs"
 
 
 def test_criterion_3_op_counts(corpus):

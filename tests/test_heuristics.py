@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -27,7 +28,7 @@ from polyroute import (
     select_farthest,
     select_random,
 )
-from polyroute.heuristics import _packed_columns
+from polyroute.heuristics import MODES, _packed_columns
 
 import corpusdef
 import oracles
@@ -208,25 +209,62 @@ class TestEvaluators:
                 assert (subs, muls, divs, arity) == (4, 0, 0, 4)
 
     def test_alp_evaluator_matches_rich_form(self):
-        g = generate_random_connected(50, 20, 4)
-        L = select_random(g, 4, 1)
-        e = build_distributed_embedding(g, L)
-        for kw in (
-            {},
-            {"mode": "optimized"},
-            {"ptolemy_enabled": False},
-        ):
-            fast = make_alp_evaluator(e, **kw)
-            for v in range(0, 50, 3):
-                for t in range(0, 50, 7):
-                    value, subs, muls, divs, arity = fast(v, t)
-                    rich = alp_dual_h(e, v, t, **kw)
-                    assert value == rich.value
-                    c = rich.counters
-                    assert (subs, muls, divs, arity) == (
-                        c.subtractions, c.multiplications,
-                        c.divisions, c.max_arity,
-                    )
+        """Exact arithmetic: the two-term value equals alp_dual_h's on
+        every (v, t), in every mode, with or without pi6."""
+        for case, e in exact_alp_embeddings():
+            nv = len(e.owner)
+            for mode in MODES:
+                for ptolemy in (True, False):
+                    fast = make_alp_evaluator(e, mode, ptolemy)
+                    for v in range(nv):
+                        for t in range(nv):
+                            value, *ops = fast(v, t)
+                            rich = alp_dual_h(e, v, t, mode, ptolemy)
+                            assert value == rich.value, (case, mode, ptolemy, v, t)
+                            assert tuple(ops) == astuple(rich.counters)
+
+    def test_alp_evaluator_never_above_rich_form_on_tenths(self):
+        """Rounded decimals: pi1, pi3 and pi6 round apart, and the
+        two-term value may fall below alp_dual_h's, never above it."""
+        g = weighted_grid(10, tenths)
+        e = build_distributed_embedding(g, select_farthest(g, 8, seed=3))
+        fast = make_alp_evaluator(e)
+        for v in range(g.vertex_count):
+            for t in range(g.vertex_count):
+                assert fast(v, t)[0] <= alp_dual_h(e, v, t).value, (v, t)
+
+    @pytest.mark.parametrize("weights", ["unit", "eighths"])
+    def test_alp_astar_identical_to_rich_form(self, weights):
+        g = weighted_grid(20, eighths if weights == "eighths" else lambda rng: 1)
+        e = round_trip(build_distributed_embedding(g, select_farthest(g, 16, seed=6)))
+
+        def reference(v, t):
+            rich = alp_dual_h(e, v, t)
+            return (rich.value, *astuple(rich.counters))
+
+        h = make_alp_evaluator(e)
+        rng = random.Random(7)
+        reopened = 0
+        for _ in range(60):
+            s, t = rng.sample(range(g.vertex_count), 2)
+            got = astar(g, s, t, h, trace=True)
+            want = astar(g, s, t, reference, trace=True)
+            assert got == want
+            assert got.settle_order == want.settle_order
+            reopened += got.reopened
+        assert reopened > 0
+
+
+def exact_alp_embeddings():
+    """Distributed embeddings whose bound arithmetic is exact."""
+    g = generate_random_connected(50, 20, 4)
+    yield "unit", build_distributed_embedding(g, select_random(g, 4, 1))
+    g = weighted_grid(9, lambda rng: rng.randint(1, 9))
+    yield "int", build_distributed_embedding(g, select_farthest(g, 6, seed=1))
+    g = weighted_grid(9, eighths)
+    e = build_distributed_embedding(g, select_farthest(g, 6, seed=2))
+    yield "eighths", round_trip(e)
+    yield "inf matrix", two_components()[2]
 
 
 def weighted_grid(side: int, weight):
@@ -250,13 +288,19 @@ def round_trip(e):
     return load_embedding(buf)
 
 
-def test_disconnected_round_trip_is_exact():
-    """One landmark per component: the saved matrix holds inf off its
-    diagonal, loads back, and every query through it stays exact."""
+def two_components():
+    """One landmark per component; the saved matrix holds inf off its
+    diagonal."""
     g = build_graph(7, [(0, 1, 1), (1, 2, 0.5), (3, 4, 2), (4, 5, 1),
                         (5, 6, 0.25)])
     L = LandmarkSet((1, 5))
-    alp_e = round_trip(build_distributed_embedding(g, L))
+    return g, L, round_trip(build_distributed_embedding(g, L))
+
+
+def test_disconnected_round_trip_is_exact():
+    """The inf matrix entries load back, and every query through them
+    stays exact."""
+    g, L, alp_e = two_components()
     assert alp_e.lmatrix == [[0, math.inf], [math.inf, 0]]
     evaluators = [make_alt_evaluator(round_trip(build_alt_embedding(g, L)))]
     for kw in ({}, {"mode": "optimized"}, {"ptolemy_enabled": False}):

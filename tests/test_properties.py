@@ -3,12 +3,15 @@
 import io
 import math
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from polyroute import (
+    DistributedEmbedding,
     LandmarkSet,
     WorkloadSpec,
+    alp_components,
     alp_dual_h,
     alt_h,
     astar,
@@ -138,6 +141,37 @@ def test_shared_owner_value_collapses_to_distance_gap(params, k, lseed):
             if e.owner[v] == e.owner[t]:
                 gap = abs(e.dist_to_owner[v] - e.dist_to_owner[t])
                 assert alp_dual_h(e, v, t).value == gap
+
+
+owner_distances = st.fractions(min_value=0, max_value=10**4, max_denominator=10**3)
+
+
+def cross_owner(a, b, D) -> DistributedEmbedding:
+    """v = 0 at distance a from landmark 0, t = 1 at b from landmark 1."""
+    return DistributedEmbedding(
+        LandmarkSet((0, 1)), [0, 1], [a, b], [[0, D], [D, 0]]
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(owner_distances, owner_distances, owner_distances.filter(bool))
+def test_cross_owner_bound_reduces_to_two_terms(a, b, D):
+    e = cross_owner(a, b, D)
+    two_terms = max(0, D - a - b, abs(a - b) - D)
+    c = alp_components(e, 0, 1)
+    assert max(0, c["pi1"], c["pi2"], c["pi3"], c["pi6"]) == two_terms
+    for mode in ("literal", "optimized"):
+        for ptolemy in (True, False):
+            assert alp_dual_h(e, 0, 1, mode, ptolemy).value == two_terms
+            assert make_alp_evaluator(e, mode, ptolemy)(0, 1)[0] == two_terms
+
+
+@settings(deadline=None, max_examples=300)
+@given(owner_distances, owner_distances, owner_distances.filter(bool))
+def test_ratio_candidate_never_exceeds_pi1_or_pi3(a, b, D):
+    c = alp_components(cross_owner(a, b, D), 0, 1)
+    assert isinstance(c["pi6"], Fraction)
+    assert c["pi6"] <= max(c["pi1"], c["pi3"])
 
 
 @settings(deadline=None, max_examples=20)
