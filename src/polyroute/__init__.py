@@ -19,7 +19,6 @@ from .graph import (
 from .sssp import (
     DistanceMap,
     KernelCounters,
-    all_pairs_oracle,
     landmark_matrix,
     multi_source_spt,
     shortest_path_tree,
@@ -75,7 +74,7 @@ __all__ = [
     "Graph", "GraphError", "build_graph", "generate_grid",
     "generate_random_connected", "load_dimacs", "load_edge_list",
     "save_dimacs", "save_edge_list",
-    "DistanceMap", "KernelCounters", "all_pairs_oracle", "landmark_matrix",
+    "DistanceMap", "KernelCounters", "landmark_matrix",
     "multi_source_spt", "shortest_path_tree", "track_kernels", "truncated_spt",
     "AltEmbedding", "DistributedEmbedding", "LandmarkSet",
     "build_alt_embedding", "build_distributed_embedding",

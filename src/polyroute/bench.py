@@ -168,7 +168,6 @@ def run_workload(
     methods: Sequence = METHODS,
     *,
     mode: str = "literal",
-    ptolemy_enabled: bool = True,
     timing: bool = False,
 ) -> list:
     """One BenchRow per (query, method), grouped by query.
@@ -194,9 +193,7 @@ def run_workload(
         evaluators["alt"] = make_alt_evaluator(alt_e)
     if "alp" in chosen:
         alp_e = build_distributed_embedding(g, L)
-        evaluators["alp"] = make_alp_evaluator(
-            alp_e, mode=mode, ptolemy_enabled=ptolemy_enabled
-        )
+        evaluators["alp"] = make_alp_evaluator(alp_e, mode=mode)
     rows = []
     for s, t in queries:
         agreed = None

@@ -122,12 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
     tuning = argparse.ArgumentParser(add_help=False)
     tuning.add_argument(
         "--mode", choices=MODES, default="literal",
-        help="literal: evaluate every bound as written; "
-        "optimized: reuse shared subexpressions (same values)",
-    )
-    tuning.add_argument(
-        "--no-ptolemy", dest="ptolemy", action="store_false",
-        help="drop the Ptolemy bound from the dual-landmark heuristic",
+        help="how alp arithmetic is counted (values are the same): "
+        "literal prices every candidate bound as written, "
+        "reduced the two-term form the evaluator runs",
     )
 
     pre = sub.add_parser(
@@ -235,7 +232,7 @@ def _cmd_query(args) -> int:
         h = make_alt_evaluator(_load_or_build_embedding(g, args))
     else:
         e = _load_or_build_embedding(g, args)
-        h = make_alp_evaluator(e, mode=args.mode, ptolemy_enabled=args.ptolemy)
+        h = make_alp_evaluator(e, mode=args.mode)
     res = astar(g, args.source, args.target, h)
     print(f"distance: {res.distance}")
     print("path:", " ".join(str(v) for v in res.path))
@@ -261,10 +258,7 @@ def _cmd_bench(args) -> int:
         stratification=args.stratify,
     )
     queries = generate_queries(g, spec)
-    rows = run_workload(
-        g, L, queries, methods,
-        mode=args.mode, ptolemy_enabled=args.ptolemy, timing=args.timing,
-    )
+    rows = run_workload(g, L, queries, methods, mode=args.mode, timing=args.timing)
     with open(args.out, "w", encoding="ascii", newline="") as fh:
         emit_report(rows, args.format, fh)
     print(f"wrote {args.out}: {len(rows)} rows")

@@ -31,16 +31,18 @@ Two heuristics over the two embeddings:
 
 Operation counting: a binary minus counts as one subtraction whether or
 not it sits inside an absolute value; taking the absolute value itself
-is free. Two counting modes:
+is free. Each counting mode charges one flat price per owner case:
 
-* "literal" (default): every available candidate is evaluated as
-  written, nothing shared. Cross-owner evaluations cost exactly
-  (9 sub, 2 mul, 1 div) over 4 candidates; same-owner evaluations cost
-  exactly (8 sub, 0 mul, 0 div) over 5 candidates (the zero diagonal
-  entry is still subtracted as written).
-* "optimized": common subexpressions are reused; values are identical,
-  counters reflect the reduced work (7 sub, 2 mul, 1 div cross-owner;
-  1 sub same-owner).
+* "literal" (default): every available candidate is priced as written,
+  nothing shared. Cross-owner evaluations cost (9 sub, 2 mul, 1 div)
+  over 4 candidates; same-owner evaluations cost (8 sub, 0 mul, 0 div)
+  over 5 candidates (the zero diagonal entry is still subtracted as
+  written).
+* "reduced": the two-term form is priced as written: (4 sub, 0 mul,
+  0 div) over 2 terms cross-owner, even when the first term alone
+  decides, and (1 sub) over 1 term same-owner.
+
+A mode sets only the counters, never a value.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ from typing import Callable
 
 from .embedding import AltEmbedding, DistributedEmbedding
 from .graph import _EXACT_INT
-
-MODES = ("literal", "optimized")
 
 SCENARIOS = ("S1", "S2", "S3", "S4", "S5")
 """Joint configuration of v's owner l1, t's owner l2, and the landmark
@@ -81,6 +81,14 @@ class OpCounters:
 
     def total(self) -> int:
         return self.subtractions + self.multiplications + self.divisions
+
+
+# (same-owner, cross-owner) price of one dual-landmark evaluation per mode.
+_ALP_PRICES = {
+    "literal": (OpCounters(8, 0, 0, 5), OpCounters(9, 2, 1, 4)),
+    "reduced": (OpCounters(1, 0, 0, 1), OpCounters(4, 0, 0, 2)),
+}
+MODES = tuple(_ALP_PRICES)
 
 
 @dataclass(frozen=True)
@@ -139,40 +147,25 @@ def alp_components(e: DistributedEmbedding, v: int, t: int) -> dict:
     }
 
 
-def _alp_counters(same_owner: bool, mode: str, ptolemy_enabled: bool) -> OpCounters:
-    if mode not in MODES:
+def _alp_counters(same_owner: bool, mode: str) -> OpCounters:
+    if mode not in _ALP_PRICES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if same_owner:
-        # The Ptolemy candidate is never available here, its flag is moot.
-        return OpCounters(8, 0, 0, 5) if mode == "literal" else OpCounters(1, 0, 0, 1)
-    if not ptolemy_enabled:
-        return OpCounters(6, 0, 0, 3)
-    return OpCounters(9, 2, 1, 4) if mode == "literal" else OpCounters(7, 2, 1, 4)
+    same, cross = _ALP_PRICES[mode]
+    return same if same_owner else cross
 
 
 def alp_dual_h(
-    e: DistributedEmbedding,
-    v: int,
-    t: int,
-    mode: str = "literal",
-    ptolemy_enabled: bool = True,
+    e: DistributedEmbedding, v: int, t: int, mode: str = "literal"
 ) -> HeuristicEval:
-    """Dual-landmark bound: max(0, max of available candidates).
-
-    ptolemy_enabled=False drops pi6 from the max (and from the counters).
-    """
+    """Dual-landmark bound: max(0, max of available candidates)."""
     comps = alp_components(e, v, t)
-    same = comps["pi6"] is None
-    if not same and not ptolemy_enabled:
-        comps = dict(comps, pi6=None)
-    candidates = [c for c in comps.values() if c is not None]
-    value = max(candidates)
+    value = max(c for c in comps.values() if c is not None)
     if value < 0:
         value = 0
     return HeuristicEval(
         value=value,
         components=comps,
-        counters=_alp_counters(same, mode, ptolemy_enabled),
+        counters=_alp_counters(comps["pi6"] is None, mode),
     )
 
 
@@ -255,11 +248,7 @@ def make_alt_evaluator(e: AltEmbedding) -> Evaluator:
     return h
 
 
-def make_alp_evaluator(
-    e: DistributedEmbedding,
-    mode: str = "literal",
-    ptolemy_enabled: bool = True,
-) -> Evaluator:
+def make_alp_evaluator(e: DistributedEmbedding, mode: str = "literal") -> Evaluator:
     """Closure form of alp_dual_h for the search inner loop.
 
     Cross-owner pairs take the two-term form of the module docstring in
@@ -268,8 +257,8 @@ def make_alp_evaluator(
     fractions) and are never higher on rounded decimals, where pi1, pi3
     and pi6 round apart (see "Exact decimal weights" in ROADMAP.md).
     """
-    s_sub, s_mul, s_div, s_ar = astuple(_alp_counters(True, mode, ptolemy_enabled))
-    c_sub, c_mul, c_div, c_ar = astuple(_alp_counters(False, mode, ptolemy_enabled))
+    s_sub, s_mul, s_div, s_ar = astuple(_alp_counters(True, mode))
+    c_sub, c_mul, c_div, c_ar = astuple(_alp_counters(False, mode))
     owner = e.owner
     dto = e.dist_to_owner
     lmatrix = e.lmatrix

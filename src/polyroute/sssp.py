@@ -1,8 +1,8 @@
 """Single-source and multi-source shortest-path kernels.
 
 One Dijkstra kernel serves every caller: full single-source trees,
-multi-source (nearest-seed) trees, truncated runs that stop once a watch
-set is settled, and the quadratic test oracle. A vertex's owner is the
+multi-source (nearest-seed) trees, and truncated runs that stop once a
+watch set is settled. A vertex's owner is the
 position, in the sources given, of its nearest source. Unreached
 vertices carry dist = inf and owner/parent = -1.
 
@@ -263,19 +263,4 @@ def landmark_matrix(
         dm = truncated_spt(g, l, lms)
         matrix.append([dm.dist[other] for other in lms])
     return matrix
-
-
-def all_pairs_oracle(g: Graph, cap: int = 5000) -> list:
-    """Full distance table via one tree per vertex; table[u][v] = d(u,v).
-
-    Quadratic storage, so refuses graphs above cap vertices.
-    """
-    if g.vertex_count > cap:
-        raise ValueError(
-            f"graph has {g.vertex_count} vertices, oracle cap is {cap}"
-        )
-    table = []
-    for s in range(g.vertex_count):
-        table.append(shortest_path_tree(g, s).dist)
-    return table
 

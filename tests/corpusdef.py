@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from polyroute import (
-    all_pairs_oracle,
+    Graph,
     astar,
     build_alt_embedding,
     build_distributed_embedding,
@@ -25,6 +25,7 @@ from polyroute import (
     make_alp_evaluator,
     make_alt_evaluator,
     select_random,
+    shortest_path_tree,
     space_accounting,
     track_kernels,
 )
@@ -36,6 +37,21 @@ SMALL_N = 60
 
 CROSS_OPS = (9, 2, 1, 4)
 SAME_OPS = (8, 0, 0, 5)
+
+
+def all_pairs_oracle(g: Graph, cap: int = 5000) -> list:
+    """Full distance table via one tree per vertex; table[u][v] = d(u,v).
+
+    Quadratic storage, so refuses graphs above cap vertices.
+    """
+    if g.vertex_count > cap:
+        raise ValueError(
+            f"graph has {g.vertex_count} vertices, oracle cap is {cap}"
+        )
+    table = []
+    for s in range(g.vertex_count):
+        table.append(shortest_path_tree(g, s).dist)
+    return table
 
 
 def corpus_params(seed: int) -> tuple:

@@ -165,13 +165,15 @@ class TestRunWorkload:
         assert any(r.s1 + r.s2 + r.s5 for r in plain if r.method == "alp")
         assert [dataclasses.replace(r, wall_time_ns=0) for r in timed] == plain
 
-    def test_mode_and_ptolemy_forwarded(self, p6):
+    def test_mode_forwarded(self, p6):
         lit = run_workload(p6, LandmarkSet((0, 5)), [(1, 4)],
                            methods=("alp",))[0]
-        opt = run_workload(p6, LandmarkSet((0, 5)), [(1, 4)],
-                           methods=("alp",), mode="optimized")[0]
-        assert lit.distance == opt.distance
-        assert opt.subs < lit.subs
+        red = run_workload(p6, LandmarkSet((0, 5)), [(1, 4)],
+                           methods=("alp",), mode="reduced")[0]
+        assert lit.distance == red.distance
+        assert red.subs < lit.subs
+        assert lit.muls > 0 and lit.divs > 0
+        assert red.muls == red.divs == 0
 
 
 class _Row(list):

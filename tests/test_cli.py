@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from polyroute import load_report
 from polyroute.cli import main
 
 
@@ -205,6 +206,19 @@ class TestQuery:
             distances[method] = out.splitlines()[0]
         assert len(set(distances.values())) == 1
 
+    def test_reduced_mode_changes_only_counters(self, p6_file, capsys):
+        outs = {}
+        for mode in ("literal", "reduced"):
+            code, out, _ = run(capsys, "query", "--graph", p6_file,
+                               "--method", "alp", "--landmarks", "2",
+                               "--strategy", "farthest", "--mode", mode,
+                               "--source", "1", "--target", "4")
+            assert code == 0
+            outs[mode] = out.splitlines()
+        assert outs["reduced"][:3] == outs["literal"][:3]
+        assert outs["reduced"][3].endswith("muls: 0 divs: 0")
+        assert outs["reduced"][3] != outs["literal"][3]
+
     def test_out_of_range_vertex(self, p6_file, capsys):
         code, _, err = run(capsys, "query", "--graph", p6_file,
                            "--method", "dijkstra",
@@ -351,11 +365,36 @@ class TestBench:
         assert code == 0
         assert "wrote" in out
 
+    def test_reduced_mode_changes_only_counters(self, tmp_path, capsys):
+        gr = tmp_path / "r.gr"
+        run(capsys, "gen", "--random", "40,15", "--seed", "5", "--out", str(gr))
+        rows = {}
+        for mode in ("literal", "reduced"):
+            rpt = tmp_path / f"{mode}.csv"
+            code, _, _ = run(capsys, "bench", "--graph", str(gr),
+                             "--queries", "10", "--landmarks", "3",
+                             "--mode", mode, "--out", str(rpt))
+            assert code == 0
+            with open(rpt, encoding="ascii") as fh:
+                rows[mode] = load_report(fh, "csv")
+        lit, red = rows["literal"], rows["reduced"]
+        assert [r.distance for r in red] == [r.distance for r in lit]
+        assert [r.settled for r in red] == [r.settled for r in lit]
+        alp = [r for r in red if r.method == "alp"]
+        assert alp and all(r.muls == r.divs == 0 for r in alp)
+
 
 class TestTopLevel:
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_unknown_mode_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--mode", "fast", "--graph", str(tmp_path / "g.gr"),
+                  "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        assert "argument --mode: invalid choice: 'fast'" in capsys.readouterr().err
 
     def test_verify_takes_no_seed(self, tmp_path, capsys):
         # verify draws nothing at random, so a --seed there is a mistake

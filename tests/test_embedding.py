@@ -16,7 +16,6 @@ from polyroute import (
     AltEmbedding,
     DistributedEmbedding,
     LandmarkSet,
-    all_pairs_oracle,
     build_alt_embedding,
     build_distributed_embedding,
     build_graph,
@@ -36,6 +35,7 @@ from polyroute import (
 )
 
 import oracles
+from corpusdef import all_pairs_oracle
 
 
 def seed_with_first_randrange(n: int, want: int) -> int:

@@ -11,7 +11,6 @@ import pytest
 from polyroute import (
     AltEmbedding,
     LandmarkSet,
-    all_pairs_oracle,
     alp_components,
     alp_dual_h,
     alt_h,
@@ -141,33 +140,25 @@ class TestAlpDualH:
         assert max(cand) < 0
         assert alp_dual_h(e, 3, 5).value == 0
 
-    def test_ptolemy_disabled_drops_pi6(self, p6_pair):
-        _, alp_e = p6_pair
-        ev = alp_dual_h(alp_e, 1, 4, ptolemy_enabled=False)
-        assert ev.components["pi6"] is None
-        assert ev.value == 3  # pi1/pi3 still give 3
-        c = ev.counters
-        assert (c.subtractions, c.multiplications, c.divisions, c.max_arity) \
-            == (6, 0, 0, 3)
-
-    def test_optimized_mode_same_values(self):
+    def test_reduced_mode_same_values(self):
         g = generate_random_connected(60, 25, 8)
         L = select_random(g, 4, 3)
         e = build_distributed_embedding(g, L)
         for v in range(0, 60, 3):
             for t in range(0, 60, 7):
                 lit = alp_dual_h(e, v, t, mode="literal")
-                opt = alp_dual_h(e, v, t, mode="optimized")
-                assert lit.value == opt.value
+                red = alp_dual_h(e, v, t, mode="reduced")
+                assert lit.value == red.value
+                assert lit.components == red.components
 
-    def test_optimized_mode_counters(self, p6_pair):
+    def test_reduced_mode_counters(self, p6_pair):
         _, alp_e = p6_pair
-        cross = alp_dual_h(alp_e, 1, 4, mode="optimized").counters
-        assert (cross.subtractions, cross.multiplications, cross.divisions) \
-            == (7, 2, 1)
-        same = alp_dual_h(alp_e, 1, 2, mode="optimized").counters
-        assert (same.subtractions, same.multiplications, same.divisions) \
-            == (1, 0, 0)
+        cross = alp_dual_h(alp_e, 1, 4, mode="reduced")
+        assert cross.value == 3
+        assert astuple(cross.counters) == (4, 0, 0, 2)
+        same = alp_dual_h(alp_e, 1, 2, mode="reduced")
+        assert same.value == 1
+        assert astuple(same.counters) == (1, 0, 0, 1)
 
     def test_unknown_mode(self, p6_pair):
         _, alp_e = p6_pair
@@ -209,19 +200,18 @@ class TestEvaluators:
                 assert (subs, muls, divs, arity) == (4, 0, 0, 4)
 
     def test_alp_evaluator_matches_rich_form(self):
-        """Exact arithmetic: the two-term value equals alp_dual_h's on
-        every (v, t), in every mode, with or without pi6."""
+        """Exact arithmetic: the two-term value and counters equal
+        alp_dual_h's on every (v, t), in every mode."""
         for case, e in exact_alp_embeddings():
             nv = len(e.owner)
             for mode in MODES:
-                for ptolemy in (True, False):
-                    fast = make_alp_evaluator(e, mode, ptolemy)
-                    for v in range(nv):
-                        for t in range(nv):
-                            value, *ops = fast(v, t)
-                            rich = alp_dual_h(e, v, t, mode, ptolemy)
-                            assert value == rich.value, (case, mode, ptolemy, v, t)
-                            assert tuple(ops) == astuple(rich.counters)
+                fast = make_alp_evaluator(e, mode)
+                for v in range(nv):
+                    for t in range(nv):
+                        value, *ops = fast(v, t)
+                        rich = alp_dual_h(e, v, t, mode)
+                        assert value == rich.value, (case, mode, v, t)
+                        assert tuple(ops) == astuple(rich.counters)
 
     def test_alp_evaluator_never_above_rich_form_on_tenths(self):
         """Rounded decimals: pi1, pi3 and pi6 round apart, and the
@@ -303,9 +293,8 @@ def test_disconnected_round_trip_is_exact():
     g, L, alp_e = two_components()
     assert alp_e.lmatrix == [[0, math.inf], [math.inf, 0]]
     evaluators = [make_alt_evaluator(round_trip(build_alt_embedding(g, L)))]
-    for kw in ({}, {"mode": "optimized"}, {"ptolemy_enabled": False}):
-        evaluators.append(make_alp_evaluator(alp_e, **kw))
-    rows = all_pairs_oracle(g)
+    evaluators += [make_alp_evaluator(alp_e, mode) for mode in MODES]
+    rows = corpusdef.all_pairs_oracle(g)
     for h in evaluators:
         for s in range(7):
             for t in range(7):
@@ -449,7 +438,7 @@ class TestAdmissibilityOnNamedGraphs:
     @pytest.mark.parametrize("kind", ["alt", "alp"])
     def test_never_exceeds_true_distance(self, kind, p6, grid3, cycle6, star5):
         for g in (p6, grid3, cycle6, star5):
-            oracle = all_pairs_oracle(g)
+            oracle = corpusdef.all_pairs_oracle(g)
             n = g.vertex_count
             L = select_random(g, min(3, n), 0)
             if kind == "alt":

@@ -8,6 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from polyroute import (
+    MODES,
     DistributedEmbedding,
     LandmarkSet,
     WorkloadSpec,
@@ -160,10 +161,9 @@ def test_cross_owner_bound_reduces_to_two_terms(a, b, D):
     two_terms = max(0, D - a - b, abs(a - b) - D)
     c = alp_components(e, 0, 1)
     assert max(0, c["pi1"], c["pi2"], c["pi3"], c["pi6"]) == two_terms
-    for mode in ("literal", "optimized"):
-        for ptolemy in (True, False):
-            assert alp_dual_h(e, 0, 1, mode, ptolemy).value == two_terms
-            assert make_alp_evaluator(e, mode, ptolemy)(0, 1)[0] == two_terms
+    for mode in MODES:
+        assert alp_dual_h(e, 0, 1, mode).value == two_terms
+        assert make_alp_evaluator(e, mode)(0, 1)[0] == two_terms
 
 
 @settings(deadline=None, max_examples=300)
@@ -172,6 +172,38 @@ def test_ratio_candidate_never_exceeds_pi1_or_pi3(a, b, D):
     c = alp_components(cross_owner(a, b, D), 0, 1)
     assert isinstance(c["pi6"], Fraction)
     assert c["pi6"] <= max(c["pi1"], c["pi3"])
+
+
+exact_weights = {
+    "int": lambda rng: rng.randint(1, 9),
+    "eighths": lambda rng: rng.randrange(1, 80) / 8,
+}
+
+
+@settings(deadline=None, max_examples=30)
+@given(graph_keys, st.sampled_from(sorted(exact_weights)),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=99))
+def test_alp_bound_is_consistent_inside_each_cell(params, weights, k, lseed):
+    """h(u) <= w + h(v) both ways on every edge whose endpoints share an
+    owner: a = d(., l) moves by at most w along it, and each term of the
+    bound moves by at most as much as a does. Boundary edges, where
+    reopenings start, are not asserted."""
+    rng = random.Random(lseed)
+    base = make_graph(params)
+    g = build_graph(base.vertex_count,
+                    [(u, v, exact_weights[weights](rng)) for u, v, _ in base.edges()])
+    n = g.vertex_count
+    ids = rng.sample(range(n), min(k, n))
+    e = build_distributed_embedding(g, LandmarkSet(tuple(ids)))
+    inner = [(u, v, w) for u, v, w in g.edges() if e.owner[u] == e.owner[v]]
+    for mode in MODES:
+        h = make_alp_evaluator(e, mode)
+        for t in range(n):
+            for u, v, w in inner:
+                hu = h(u, t)[0]
+                hv = h(v, t)[0]
+                assert hu <= w + hv and hv <= w + hu, (mode, u, v, w, t)
 
 
 @settings(deadline=None, max_examples=20)

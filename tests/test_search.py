@@ -7,7 +7,6 @@ import pytest
 from polyroute import (
     LandmarkSet,
     OpCounters,
-    all_pairs_oracle,
     astar,
     build_alt_embedding,
     build_distributed_embedding,
@@ -19,6 +18,8 @@ from polyroute import (
     make_alt_evaluator,
     select_random,
 )
+
+from corpusdef import all_pairs_oracle
 
 
 def zero_evaluator(v, t):

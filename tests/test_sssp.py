@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyroute import (
-    all_pairs_oracle,
     build_graph,
     generate_random_connected,
     landmark_matrix,
@@ -18,6 +17,7 @@ from polyroute import (
 )
 
 import oracles
+from corpusdef import all_pairs_oracle
 
 
 class TestShortestPathTree:

@@ -5,6 +5,9 @@ import importlib.util
 import json
 import pathlib
 from collections import Counter
+from dataclasses import astuple
+
+from polyroute.heuristics import _ALP_PRICES, MODES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -20,6 +23,28 @@ def test_make_witnesses_reproduces_fixture():
     tool = _load_tool("make_witnesses")
     fixture = ROOT / "tests" / "fixtures" / "theorem_witnesses.json"
     assert tool.find_witnesses() == json.loads(fixture.read_text())
+
+
+def readme_alp_prices() -> list:
+    """((case, mode), (sub, mul, div, widest term)) of each dual-landmark
+    row of README's arithmetic table, in table order."""
+    rows = []
+    for line in (ROOT / "README.md").read_text().splitlines():
+        cells = [c.strip() for c in line.strip("| ").split("|")]
+        if cells[0] in ("same owner", "cross owner"):
+            rows.append(((cells[0], cells[1]), tuple(map(int, cells[2:]))))
+    return rows
+
+
+def test_readme_price_table_matches_alp_prices():
+    want = {}
+    for mode, (same, cross) in _ALP_PRICES.items():
+        want["same owner", mode] = astuple(same)
+        want["cross owner", mode] = astuple(cross)
+    rows = readme_alp_prices()
+    assert len(rows) == len(want)
+    assert dict(rows) == want
+    assert {mode for (_, mode), _ in rows} == set(MODES)
 
 
 def _annotation_names(node) -> set:
