@@ -25,6 +25,8 @@ from operator import itemgetter
 from typing import Sequence, TextIO
 
 from .embedding import (
+    AltEmbedding,
+    DistributedEmbedding,
     LandmarkSet,
     build_alt_embedding,
     build_distributed_embedding,
@@ -39,7 +41,16 @@ from .heuristics import (
 from .search import QueryResult, astar
 from .sssp import _check_vertex, shortest_path_tree
 
-METHODS = ("dijkstra", "alt", "alp")
+# Each guided method: the embedding type a loaded file must have, its
+# builder build(g, L), and its evaluator maker make(e, mode). Dijkstra
+# searches without an embedding, so it has no row.
+_GUIDED = {
+    "alt": (AltEmbedding, build_alt_embedding,
+            lambda e, mode: make_alt_evaluator(e)),
+    "alp": (DistributedEmbedding, build_distributed_embedding,
+            make_alp_evaluator),
+}
+METHODS = ("dijkstra", *_GUIDED)
 STRATIFICATIONS = ("none", "by-distance-decile")
 
 
@@ -186,25 +197,21 @@ def run_workload(
             raise ValueError(f"unknown method {m!r}, expected subset of {METHODS}")
     if len(set(chosen)) != len(chosen):
         raise ValueError(f"duplicate methods in {chosen}")
-    need_alt = "alt" in chosen or "alp" in chosen
-    alt_e = build_alt_embedding(g, L) if need_alt else None
-    evaluators = {"dijkstra": None}
-    if "alt" in chosen:
-        evaluators["alt"] = make_alt_evaluator(alt_e)
-    if "alp" in chosen:
-        alp_e = build_distributed_embedding(g, L)
-        evaluators["alp"] = make_alp_evaluator(alp_e, mode=mode)
+    # Table order builds alt first, so it takes over L.rows.
+    need = {*chosen, "alt"} if "alp" in chosen else set(chosen)
+    built = {m: build(g, L) for m, (_, build, _) in _GUIDED.items() if m in need}
+    evaluators = {m: _GUIDED[m][2](built[m], mode) for m in chosen if m in built}
     rows = []
     for s, t in queries:
         agreed = None
         for m in chosen:
-            h = evaluators[m]
+            h = evaluators.get(m)
             hist = [0, 0, 0, 0, 0]
             wall = 0
             if m == "alp":
                 # Classify in an untimed run; the search is deterministic,
                 # so a timed rerun with the plain evaluator gives the same row.
-                res = astar(g, s, t, _tallying(h, alt_e, alp_e, hist))
+                res = astar(g, s, t, _tallying(h, built["alt"], built["alp"], hist))
             if m != "alp" or timing:
                 t0 = time.perf_counter_ns()
                 res = astar(g, s, t, h)

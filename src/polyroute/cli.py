@@ -19,6 +19,7 @@ import argparse
 import sys
 
 from .bench import (
+    _GUIDED,
     METHODS,
     STRATIFICATIONS,
     BenchError,
@@ -32,10 +33,6 @@ from .bench import (
     verify_workload,
 )
 from .embedding import (
-    AltEmbedding,
-    DistributedEmbedding,
-    build_alt_embedding,
-    build_distributed_embedding,
     check_embedding_fits,
     load_embedding,
     save_embedding,
@@ -55,7 +52,7 @@ from .graph import (
     save_dimacs,
     save_edge_list,
 )
-from .heuristics import MODES, make_alp_evaluator, make_alt_evaluator
+from .heuristics import MODES
 from .search import astar
 from .seeding import derive_seed
 
@@ -63,12 +60,6 @@ _SELECTORS = {
     "random": select_random,
     "farthest": select_farthest,
     "avoid": select_avoid,
-}
-
-# Each embedding method: the type a loaded file must have, and its builder.
-_EMBEDDINGS = {
-    "alt": (AltEmbedding, build_alt_embedding),
-    "alp": (DistributedEmbedding, build_distributed_embedding),
 }
 
 
@@ -131,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "preprocess", parents=[common, landmarks],
         help="build and serialize an embedding",
     )
-    pre.add_argument("--method", choices=tuple(_EMBEDDINGS), required=True)
+    pre.add_argument("--method", choices=tuple(_GUIDED), required=True)
     pre.add_argument("--out", help="embedding output file")
 
     q = sub.add_parser(
@@ -195,7 +186,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     g = load_graph_file(args.graph)
-    _, build = _EMBEDDINGS[args.method]
+    _, build, _ = _GUIDED[args.method]
     L = _select_landmarks(g, args)
     e = build(g, L)
     stored, formula = space_accounting(e)
@@ -211,7 +202,7 @@ def _cmd_preprocess(args) -> int:
 
 
 def _load_or_build_embedding(g: Graph, args):
-    kind, build = _EMBEDDINGS[args.method]
+    kind, build, _ = _GUIDED[args.method]
     if not args.embedding:
         return build(g, _select_landmarks(g, args))
     with open(args.embedding, "rb") as fh:
@@ -226,13 +217,11 @@ def _load_or_build_embedding(g: Graph, args):
 
 def _cmd_query(args) -> int:
     g = load_graph_file(args.graph)
-    if args.method == "dijkstra":
-        h = None
-    elif args.method == "alt":
-        h = make_alt_evaluator(_load_or_build_embedding(g, args))
-    else:
-        e = _load_or_build_embedding(g, args)
-        h = make_alp_evaluator(e, mode=args.mode)
+    h = None
+    if args.method in _GUIDED:
+        h = _GUIDED[args.method][2](_load_or_build_embedding(g, args), args.mode)
+    elif args.embedding:
+        raise ValueError(f"method {args.method} takes no --embedding")
     res = astar(g, args.source, args.target, h)
     print(f"distance: {res.distance}")
     print("path:", " ".join(str(v) for v in res.path))

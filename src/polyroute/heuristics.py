@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import astuple, dataclass
-from math import isfinite
+from math import inf, isfinite
 from operator import sub
 from struct import pack
 from typing import Callable
@@ -143,7 +143,10 @@ def alp_components(e: DistributedEmbedding, v: int, t: int) -> dict:
         "pi3": abs(D - b) - a,
         "pi4": abs(a - b) if same else None,
         "pi5": abs(a - b) if same else None,
-        "pi6": None if same else (abs(a - D) * abs(D - b) - a * b) / D,
+        # D = inf puts v and t in different components; pi6 takes its
+        # limit there, inf, not inf / inf = nan.
+        "pi6": None if same else (
+            inf if D == inf else (abs(a - D) * abs(D - b) - a * b) / D),
     }
 
 

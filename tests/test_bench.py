@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -30,6 +31,7 @@ from polyroute import (
     summarize,
     verify_workload,
 )
+from polyroute.bench import METHODS
 from polyroute.cli import main
 
 
@@ -144,6 +146,19 @@ class TestRunWorkload:
                             methods=("dijkstra", "alt"))
         by_method = {r.method: r for r in rows}
         assert by_method["alt"].settled < by_method["dijkstra"].settled
+
+    def test_every_subset_gives_the_full_run_rows(self):
+        # Each subset builds only the embeddings it needs; alp alone still
+        # classifies S1..S5 against the full table.
+        g = generate_grid(12, 12)
+        queries = generate_queries(g, WorkloadSpec(15, seed=3))
+        full = run_workload(g, select_farthest(g, 4, 0), queries)
+        assert any(r.s1 + r.s2 + r.s5 for r in full if r.method == "alp")
+        subsets = [c for n in (1, 2, 3) for c in combinations(METHODS, n)]
+        assert len(subsets) == 7
+        for subset in subsets:
+            rows = run_workload(g, select_farthest(g, 4, 0), queries, subset)
+            assert rows == [r for r in full if r.method in subset], subset
 
     def test_unknown_method_rejected(self, p6):
         with pytest.raises(ValueError):

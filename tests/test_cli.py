@@ -219,6 +219,15 @@ class TestQuery:
         assert outs["reduced"][3].endswith("muls: 0 divs: 0")
         assert outs["reduced"][3] != outs["literal"][3]
 
+    def test_dijkstra_refuses_an_embedding(self, p6_file, tmp_path, capsys):
+        # the file is never read, so one that does not exist is refused too
+        code, out, err = run(capsys, "query", "--graph", p6_file,
+                             "--method", "dijkstra",
+                             "--embedding", str(tmp_path / "missing.lemb"),
+                             "--source", "1", "--target", "4")
+        assert (code, out) == (1, "")
+        assert err == "error: method dijkstra takes no --embedding\n"
+
     def test_out_of_range_vertex(self, p6_file, capsys):
         code, _, err = run(capsys, "query", "--graph", p6_file,
                            "--method", "dijkstra",

@@ -301,6 +301,17 @@ def test_disconnected_round_trip_is_exact():
                 assert astar(g, s, t, h).distance == rows[s][t]
 
 
+def test_pi6_across_components_is_inf_not_nan():
+    """Owners in different components give D = inf, where pi6 takes its
+    limit. So the bound is inf whichever candidate max() meets first."""
+    _, _, alp_e = two_components()
+    comps = alp_components(alp_e, 0, 4)
+    values = [c for c in comps.values() if c is not None]
+    assert comps["pi6"] == math.inf
+    assert not any(math.isnan(c) for c in values)
+    assert max(values) == max(reversed(values)) == math.inf
+
+
 def eighths(rng):
     return rng.randrange(1, 80) / 8
 

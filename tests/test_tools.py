@@ -7,6 +7,7 @@ import pathlib
 from collections import Counter
 from dataclasses import astuple
 
+from polyroute.bench import METHODS
 from polyroute.heuristics import _ALP_PRICES, MODES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -199,3 +200,22 @@ def test_library_methods_are_all_read():
         for path in sorted((ROOT / folder).rglob("*.py"))
     ]
     assert unread_methods(library, readers) == []
+
+
+def method_constants(source: str) -> list:
+    """Each string constant in source that equals a name in METHODS."""
+    return [node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and node.value in METHODS]
+
+
+def test_method_constant_check_flags_method_names():
+    source = ('if m == "alt":\n    h = f"alp {m}"\n'
+              'elif m in ("dijkstra", "bfs"):\n    h = None\n')
+    assert method_constants(source) == ["alt", "dijkstra"]
+
+
+def test_cli_names_no_method():
+    """Each method is declared once, in bench's method table; a method
+    name written into the CLI would be a per-method branch."""
+    cli = (ROOT / "src" / "polyroute" / "cli.py").read_text()
+    assert method_constants(cli) == []
