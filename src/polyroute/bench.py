@@ -368,6 +368,8 @@ def load_report(stream: TextIO, format: str) -> list:
             records = json.load(stream)
         except RecursionError:
             raise ValueError("JSON report is nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed JSON report: {exc}") from None
         if not isinstance(records, list):
             raise ValueError("JSON report must be a list of rows")
         return [_report_row(i, rec, False) for i, rec in enumerate(records)]

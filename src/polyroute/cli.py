@@ -68,10 +68,15 @@ def load_graph_file(path: str) -> Graph:
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     for _, line in _content_lines(text, ("c", "#")):
-        if line.split()[:2] == ["p", "sp"]:
+        if line.split()[0] in ("p", "a"):
             return load_dimacs(text)
         return load_edge_list(text)
     raise GraphError(f"{path}: no content lines")
+
+
+def _report_format(path: str) -> str:
+    """A report's format, set by its file name for writing and reading."""
+    return "json" if path.endswith(".json") else "csv"
 
 
 def _select_landmarks(g: Graph, args):
@@ -143,8 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--queries", type=int, default=100)
     b.add_argument("--stratify", choices=STRATIFICATIONS,
                    default=STRATIFICATIONS[0])
-    b.add_argument("--format", choices=("csv", "json"), default="csv")
-    b.add_argument("--out", required=True, help="report output file")
+    b.add_argument("--out", required=True, help="JSON if named *.json, else CSV")
     b.add_argument("--timing", action="store_true",
                    help="record wall times (breaks byte-identical reruns)")
 
@@ -152,9 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common],
         help="recompute a report's distances from scratch",
     )
-    v.add_argument("--report", required=True)
-    v.add_argument("--format", choices=("csv", "json"),
-                   help="default: by report file extension")
+    v.add_argument("--report", required=True, help="JSON if named *.json, else CSV")
     return p
 
 
@@ -174,6 +176,8 @@ def _cmd_gen(args) -> int:
             ) from None
         g = generate_random_connected(n, extra, derive_seed(args.seed, "gen"))
     else:
+        if args.path < 1:
+            raise GraphError(f"bad --path value {args.path}, expected N >= 1")
         g = generate_grid(1, args.path)
     with open(args.out, "w", encoding="ascii") as fh:
         if args.format == "dimacs":
@@ -249,7 +253,7 @@ def _cmd_bench(args) -> int:
     queries = generate_queries(g, spec)
     rows = run_workload(g, L, queries, methods, mode=args.mode, timing=args.timing)
     with open(args.out, "w", encoding="ascii", newline="") as fh:
-        emit_report(rows, args.format, fh)
+        emit_report(rows, _report_format(args.out), fh)
     print(f"wrote {args.out}: {len(rows)} rows")
     print(format_summary(summarize(rows)))
     return 0
@@ -257,11 +261,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = load_graph_file(args.graph)
-    fmt = args.format
-    if fmt is None:
-        fmt = "json" if args.report.endswith(".json") else "csv"
     with open(args.report, "r", encoding="ascii", newline="") as fh:
-        rows = load_report(fh, fmt)
+        rows = load_report(fh, _report_format(args.report))
     report = verify_workload(g, rows)
     print(f"checked: {report.checked}")
     print(f"violations: {len(report.violations)}")

@@ -361,6 +361,11 @@ class TestReportIO:
         with pytest.raises(ValueError, match="^JSON report is nested too deeply$"):
             load_report(io.StringIO("[" * 100_000), "json")
 
+    def test_json_syntax_error_rejected(self):
+        with pytest.raises(ValueError, match=r"^malformed JSON report: "
+                           r"Expecting value: line 1 column 1 \(char 0\)$"):
+            load_report(io.StringIO(",".join(CSV_HEADER) + "\n"), "json")
+
     @pytest.mark.parametrize("header", [False, True], ids=["row", "header"])
     def test_csv_field_over_the_limit_rejected(self, header):
         big = "x" * 131_073 + "\n"

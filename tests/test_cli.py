@@ -55,6 +55,14 @@ class TestGen:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_path_below_one_errors(self, tmp_path, capsys, n):
+        out_path = tmp_path / "x.gr"
+        code, out, err = run(capsys, "gen", "--path", n, "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: bad --path value {n}, expected N >= 1\n"
+        assert not out_path.exists()
+
 
 class TestPreprocess:
     def test_path_graph_distributed_entries(self, p6_file, capsys):
@@ -300,13 +308,32 @@ class TestBench:
         rpt = tmp_path / "out.json"
         code, _, _ = run(capsys, "bench", "--graph", str(gr),
                          "--queries", "8", "--landmarks", "2",
-                         "--format", "json", "--out", str(rpt),
-                         "--methods", "dijkstra,alp")
+                         "--out", str(rpt), "--methods", "dijkstra,alp")
         assert code == 0
         code, out, _ = run(capsys, "verify", "--graph", str(gr),
                            "--report", str(rpt))
         assert code == 0
         assert "checked: 16" in out
+
+    @pytest.mark.parametrize("name, is_json", [
+        ("r.json", True), ("r.csv", False), ("r.JSON", False), ("r", False),
+    ])
+    def test_report_name_sets_format(self, tmp_path, capsys, name, is_json):
+        gr = tmp_path / "g.gr"
+        run(capsys, "gen", "--grid", "4x4", "--out", str(gr))
+        rpt = tmp_path / name
+        code, _, _ = run(capsys, "bench", "--graph", str(gr), "--queries", "5",
+                         "--landmarks", "2", "--out", str(rpt))
+        assert code == 0
+        text = rpt.read_text()
+        if is_json:
+            assert isinstance(json.loads(text), list)
+        else:
+            assert text.startswith("method,source,target,")
+        code, out, _ = run(capsys, "verify", "--graph", str(gr),
+                           "--report", str(rpt))
+        assert code == 0
+        assert "checked: 15" in out
 
     def test_corrupted_report_fails_verification(self, tmp_path, capsys):
         gr = tmp_path / "r.gr"
@@ -352,7 +379,7 @@ class TestBench:
         run(capsys, "gen", "--path", "4", "--out", str(gr))
         rpt = tmp_path / "out.json"
         run(capsys, "bench", "--graph", str(gr), "--queries", "3",
-            "--landmarks", "1", "--format", "json", "--out", str(rpt),
+            "--landmarks", "1", "--out", str(rpt),
             "--methods", "dijkstra")
         records = json.loads(rpt.read_text())
         records[1][name] = value
@@ -412,6 +439,30 @@ class TestTopLevel:
                   "--report", str(tmp_path / "r.csv")])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--format", "json", "--out", "r.json"],
+        ["verify", "--format", "csv", "--report", "r.json"],
+    ], ids=["bench", "verify"])
+    def test_report_commands_take_no_format(self, tmp_path, capsys, argv):
+        # the report's file name sets its format
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--graph", str(tmp_path / "g.gr")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+    def test_csv_named_json_is_clean_error(self, tmp_path, capsys):
+        gr = tmp_path / "g.gr"
+        run(capsys, "gen", "--path", "3", "--out", str(gr))
+        csv_rpt, bad = tmp_path / "r.csv", tmp_path / "r.json"
+        run(capsys, "bench", "--graph", str(gr), "--queries", "2",
+            "--landmarks", "1", "--out", str(csv_rpt))
+        bad.write_bytes(csv_rpt.read_bytes())
+        code, out, err = run(capsys, "verify", "--graph", str(gr),
+                             "--report", str(bad))
+        assert (code, out) == (1, "")
+        assert err == ("error: malformed JSON report: "
+                       "Expecting value: line 1 column 1 (char 0)\n")
 
     def test_unreadable_report_is_clean_error(self, tmp_path, capsys):
         gr = tmp_path / "g.gr"

@@ -261,7 +261,7 @@ TEXT_PINS = [
      None),
     ('dimacs-arc-first', 'a 1 2 1\np sp 2 1\n',
      'GraphError: line 1: arc before problem line',
-     'GraphError: line 1: expected single vertex-count header'),
+     None),
     ('dimacs-arc-arity', 'p sp 2 1\na 1 2\n',
      "GraphError: line 2: expected 'a <u> <v> <w>'",
      None),
