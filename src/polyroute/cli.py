@@ -16,6 +16,7 @@ times are written as zero unless --timing is given).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import (
@@ -251,8 +252,16 @@ def _cmd_bench(args) -> int:
         stratification=args.stratify,
     )
     queries = generate_queries(g, spec)
-    rows = run_workload(g, L, queries, methods, mode=args.mode, timing=args.timing)
+    # Opened before the run, so a bad path fails at once; a failed run
+    # removes the file only if it made it (--out may be /dev/stdout).
+    made = not os.path.exists(args.out)
     with open(args.out, "w", encoding="ascii", newline="") as fh:
+        try:
+            rows = run_workload(g, L, queries, methods, mode=args.mode, timing=args.timing)
+        except BaseException:
+            if made:
+                os.remove(args.out)
+            raise
         emit_report(rows, _report_format(args.out), fh)
     print(f"wrote {args.out}: {len(rows)} rows")
     print(format_summary(summarize(rows)))

@@ -107,7 +107,8 @@ class HeuristicEval:
 
 # Lightweight evaluator protocol used by the search engine: returns
 # (value, subtractions, multiplications, divisions, arity) per call.
-# astar(g, s, t, None) takes no evaluator and is plain Dijkstra.
+# astar(g, s, t, None) takes no evaluator and returns dijkstra_query's
+# result, which runs on the sssp kernel and never calls this protocol.
 Evaluator = Callable[[int, int], tuple]
 
 

@@ -1,4 +1,4 @@
-"""Point-to-point search: one A* loop with reopening; Dijkstra is h=None.
+"""Point-to-point search: one A* loop with reopening, and Dijkstra.
 
 The dual-landmark heuristic is admissible but not consistent, so a
 settled vertex can later receive a better tentative distance. The search
@@ -6,12 +6,10 @@ reinserts such vertices (reopening), which keeps returned distances
 exact for any admissible heuristic; the extra settle events are reported
 so the cost is visible.
 
-Without a heuristic (h=None) the same loop is plain Dijkstra: no
-evaluation at the source or per push, and the heap key is g alone.
-
 Heap entries compare by (f, -g, vertex id), so equal-f ties prefer the
-larger g and then the smaller id. With an evaluator that returns 0 the
-search therefore settles the same vertices in the same order as h=None.
+larger g and then the smaller id. Dijkstra (h=None) runs on the kernel
+of sssp, which settles each distance level in id order: the order of
+A* with an evaluator that returns 0.
 
 Heuristic values are recomputed on every push, never cached, so the
 reported operation totals reflect what the heuristic actually costs
@@ -26,7 +24,7 @@ from heapq import heappop, heappush
 
 from .graph import Graph
 from .heuristics import Evaluator, OpCounters
-from .sssp import _check_vertex
+from .sssp import _check_vertex, _run_kernel
 
 INF = math.inf
 
@@ -70,8 +68,10 @@ def astar(
 
     h follows the evaluator protocol: h(v, target) returns
     (value, subtractions, multiplications, divisions, arity). h=None
-    searches without a bound: zero evaluations and zero totals.
+    is dijkstra_query.
     """
+    if h is None:
+        return dijkstra_query(g, source, target, trace)
     _check_vertex(g, source, "source")
     _check_vertex(g, target, "target")
     n = g.vertex_count
@@ -79,11 +79,8 @@ def astar(
     parent = [-1] * n
     closed = bytearray(n)
     g_dist[source] = 0
-    if h is None:
-        hv = total_subs = total_muls = total_divs = max_arity = evals = 0
-    else:
-        hv, total_subs, total_muls, total_divs, max_arity = h(source, target)
-        evals = 1
+    hv, total_subs, total_muls, total_divs, max_arity = h(source, target)
+    evals = 1
     heap = [(hv, 0, source)]
     expanded = 0
     settled = 0
@@ -107,9 +104,6 @@ def astar(
             if ng < g_dist[v]:
                 g_dist[v] = ng
                 parent[v] = u
-                if h is None:
-                    heappush(heap, (ng, -ng, v))
-                    continue
                 hv, subs, muls, divs, arity = h(v, target)
                 evals += 1
                 total_subs += subs
@@ -131,8 +125,15 @@ def astar(
 def dijkstra_query(
     g: Graph, source: int, target: int, trace: bool = False
 ) -> QueryResult:
-    """Plain search, stopping as soon as the target is settled.
-
-    No heuristic work: zero evaluations and zero arithmetic totals.
+    """Plain search on the sssp kernel, stopping as soon as the target
+    is settled. No heuristic work: zero evaluations and zero totals.
     """
-    return astar(g, source, target, None, trace)
+    _check_vertex(g, source, "source")
+    _check_vertex(g, target, "target")
+    order = [] if trace else None
+    dist, _, parent, settled = _run_kernel(g, (source,), (target,), order)
+    # The run stops on the target, so d = inf only if it was never reached.
+    d = dist[target]
+    path = _reconstruct(parent, source, target) if d < INF else []
+    return QueryResult(source, target, d, path, settled, settled, 0, 0,
+                       OpCounters(0, 0, 0, 0), order)

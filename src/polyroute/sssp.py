@@ -1,10 +1,10 @@
 """Single-source and multi-source shortest-path kernels.
 
 One Dijkstra kernel serves every caller: full single-source trees,
-multi-source (nearest-seed) trees, and truncated runs that stop once a
-watch set is settled. A vertex's owner is the
-position, in the sources given, of its nearest source. Unreached
-vertices carry dist = inf and owner/parent = -1.
+multi-source (nearest-seed) trees, truncated runs that stop once a watch
+set is settled, and search.dijkstra_query, which stops on its target. A
+vertex's owner is the position, in the sources given, of its nearest
+source. Unreached vertices carry dist = inf and owner/parent = -1.
 
 Determinism: the kernel settles vertices one distance level at a time,
 each level in vertex id order, and a relaxation that ties on distance is
@@ -84,8 +84,9 @@ def _count(kind: str) -> None:
 
 
 def _run_kernel(
-    g: Graph, sources: Sequence[int], stop_at: "set | None" = None
-) -> DistanceMap:
+    g: Graph, sources: Sequence[int], stop_at: Sequence[int] = (),
+    trail: "list | None" = None,
+) -> tuple:
     """Dijkstra from several sources at once, one distance level at a
     time.
 
@@ -105,7 +106,9 @@ def _run_kernel(
     At equal distance the source listed first wins. If stop_at is given
     (callers give it with one source), the run ends once every vertex in
     it is settled; distances outside the settled region are then only
-    upper bounds and are reported as unreached.
+    upper bounds. Returns (dist, owner, parent, settled): a run with
+    stop_at counts its settles and appends each settled vertex to trail,
+    if given; settled is 0 without stop_at.
     """
     n = g.vertex_count
     dist = [INF] * n
@@ -119,8 +122,11 @@ def _run_kernel(
     keys = [0]
     level = {0: list(sources)}
     adj = g.adjacency
-    pending = set(stop_at) if stop_at is not None else None
-    done = bytearray(n) if stop_at is not None else None
+    watch = bytearray(n) if stop_at else None
+    for t in stop_at:
+        watch[t] = 1
+    left = len(set(stop_at))
+    settled = 0
     while keys:
         d = heappop(keys)
         batch = level.pop(d)
@@ -133,11 +139,14 @@ def _run_kernel(
                 if du < d:
                     continue
                 r = owner[u]
-                if pending is not None:
-                    done[u] = 1
-                    pending.discard(u)
-                    if not pending:
-                        return _settled_only(dist, owner, parent, done)
+                if watch is not None:
+                    settled += 1
+                    if trail is not None:
+                        trail.append(u)
+                    if watch[u]:
+                        left -= 1
+                        if not left:
+                            return dist, owner, parent, settled
                 for v, w in adj[u]:
                     nd = du + w
                     dv = dist[v]
@@ -164,9 +173,7 @@ def _run_kernel(
                         owner[v] = r
                         parent[v] = u
             order = _drain(rest, owner) if rest and order is batch else None
-    if pending is not None:
-        return _settled_only(dist, owner, parent, done)
-    return DistanceMap(dist, owner, parent)
+    return dist, owner, parent, settled
 
 
 def _rest_of(batch: list, u: int, d, dist: list, owner: list) -> list:
@@ -188,18 +195,6 @@ def _drain(rest: list, owner: list):
             yield v
 
 
-def _settled_only(dist: list, owner: list, parent: list,
-                  done: bytearray) -> DistanceMap:
-    """The run so far, with every vertex not yet settled reported as
-    unreached: outside the settled region distances are upper bounds."""
-    for v in range(len(dist)):
-        if not done[v]:
-            dist[v] = INF
-            owner[v] = -1
-            parent[v] = -1
-    return DistanceMap(dist, owner, parent)
-
-
 def _check_vertex(g: Graph, v: int, what: str) -> None:
     if not (0 <= v < g.vertex_count):
         raise ValueError(f"{what} {v} out of range [0,{g.vertex_count})")
@@ -209,7 +204,7 @@ def shortest_path_tree(g: Graph, source: int) -> DistanceMap:
     """Exact single-source distances (full Dijkstra run)."""
     _check_vertex(g, source, "source")
     _count("full_spt")
-    return _run_kernel(g, (source,))
+    return DistanceMap(*_run_kernel(g, (source,))[:3])
 
 
 def multi_source_spt(g: Graph, sources: Sequence[int]) -> DistanceMap:
@@ -226,7 +221,7 @@ def multi_source_spt(g: Graph, sources: Sequence[int]) -> DistanceMap:
     for s in srcs:
         _check_vertex(g, s, "source")
     _count("multi_source")
-    return _run_kernel(g, srcs)
+    return DistanceMap(*_run_kernel(g, srcs)[:3])
 
 
 def truncated_spt(g: Graph, source: int, targets: Sequence[int]) -> DistanceMap:
@@ -235,7 +230,16 @@ def truncated_spt(g: Graph, source: int, targets: Sequence[int]) -> DistanceMap:
     for t in targets:
         _check_vertex(g, t, "target")
     _count("truncated_spt")
-    return _run_kernel(g, (source,), stop_at=set(targets))
+    trail = []
+    # With no targets the run stops after settling the source.
+    dist, owner, parent, _ = _run_kernel(
+        g, (source,), tuple(targets) or (source,), trail)
+    # Only settled vertices have exact distances; the rest read unreached.
+    n = g.vertex_count
+    dm = DistanceMap([INF] * n, [-1] * n, [-1] * n)
+    for v in trail:
+        dm.dist[v], dm.owner[v], dm.parent[v] = dist[v], owner[v], parent[v]
+    return dm
 
 
 def landmark_matrix(

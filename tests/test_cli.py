@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from polyroute import load_report
+from polyroute import cli, load_report
 from polyroute.cli import main
 
 
@@ -418,6 +418,37 @@ class TestBench:
         assert [r.settled for r in red] == [r.settled for r in lit]
         alp = [r for r in red if r.method == "alp"]
         assert alp and all(r.muls == r.divs == 0 for r in alp)
+
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys,
+                                                 monkeypatch):
+        gr = tmp_path / "g.gr"
+        run(capsys, "gen", "--grid", "4x4", "--out", str(gr))
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_workload called before --out was opened")
+
+        monkeypatch.setattr(cli, "run_workload", no_run)
+        rpt = tmp_path / "absent" / "x.csv"
+        code, out, err = run(capsys, "bench", "--graph", str(gr),
+                             "--queries", "5", "--landmarks", "2",
+                             "--out", str(rpt))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 2] No such file or directory")
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_run_removes_only_a_file_it_made(self, tmp_path, capsys,
+                                                    existed):
+        gr = tmp_path / "g.gr"
+        run(capsys, "gen", "--grid", "4x4", "--out", str(gr))
+        rpt = tmp_path / "out.csv"
+        if existed:  # as /dev/stdout would be
+            rpt.write_text("old\n")
+        code, out, err = run(capsys, "bench", "--graph", str(gr),
+                             "--queries", "5", "--landmarks", "2",
+                             "--out", str(rpt), "--methods", "dijkstra,bogus")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unknown method 'bogus'")
+        assert rpt.exists() == existed
 
 
 class TestTopLevel:

@@ -101,6 +101,12 @@ class TestAstar:
             assert blind.heuristic_evals == d.heuristic_evals == 0
             assert blind.op_totals == d.op_totals == OpCounters(0, 0, 0, 0)
 
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_no_heuristic_is_dijkstra_query(self, trace):
+        g = generate_random_connected(80, 40, 11)
+        for s, t in [(0, 79), (5, 50), (33, 33), (60, 2)]:
+            assert astar(g, s, t, None, trace) == dijkstra_query(g, s, t, trace)
+
     def test_unreachable_target(self):
         g = build_graph(4, [(0, 1, 1), (2, 3, 1)])
         h = make_alt_evaluator(build_alt_embedding(g, LandmarkSet((0, 2))))

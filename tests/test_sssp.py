@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyroute import (
+    astar,
     build_graph,
+    dijkstra_query,
     generate_random_connected,
     landmark_matrix,
     multi_source_spt,
@@ -216,6 +218,31 @@ class TestKernelMatchesReference:
         assert (dm.owner, dm.parent) == ([1, 0, 0, 0, 0, 0], [-1, 2, 4, 4, 5, -1])
 
 
+def zero_evaluator(v, t):
+    """h = 0 everywhere: the A* heap loop, keyed (g, -g, id), run as
+    plain Dijkstra."""
+    return 0, 0, 0, 0, 0
+
+
+class TestQueryMatchesHeapLoop:
+    """dijkstra_query runs on the kernel; the A* heap loop with h = 0 is
+    its reference, down to the settle order and the type of the distance."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(kernel_cases())
+    def test_random_graphs(self, case):
+        n, edges, sources, _ = case
+        g = build_graph(n, edges)
+        s = sources[0]
+        for t in range(n):  # s == t and, when disconnected, unreachable t
+            got = dijkstra_query(g, s, t, trace=True)
+            ref = astar(g, s, t, zero_evaluator, trace=True)
+            assert (repr(got.distance), got.path, got.settled, got.expanded,
+                    got.reopened, got.settle_order) == (
+                repr(ref.distance), ref.path, ref.settled, ref.expanded,
+                ref.reopened, ref.settle_order)
+
+
 class TestAllPairsOracle:
     def test_p6_entry(self, p6):
         table = all_pairs_oracle(p6)
@@ -284,6 +311,13 @@ class TestKernelCounters:
             assert not worker.is_alive()
             shortest_path_tree(p6, 1)
         assert kc.full_spt == 1
+
+    def test_queries_run_no_counted_kernel(self, grid3):
+        # queries are not preprocessing: they call the kernel directly
+        with track_kernels() as kc:
+            dijkstra_query(grid3, 0, 8)
+            astar(grid3, 8, 0, None, trace=True)
+        assert (kc.full_spt, kc.multi_source, kc.truncated_spt) == (0, 0, 0)
 
     def test_no_counting_outside_block(self, p6):
         with track_kernels() as kc:
