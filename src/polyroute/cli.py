@@ -198,11 +198,14 @@ def _cmd_preprocess(args) -> int:
     if stored != formula:
         raise RuntimeError(f"entry count {stored} != formula {formula}")
     print("landmarks:", " ".join(str(l) for l in L.ids))
-    print(f"entries: {stored}")
-    if args.out:
-        with open(args.out, "wb") as fh:
-            save_embedding(e, fh)
-        print(f"wrote {args.out}")
+    if not args.out:
+        print(f"entries: {stored}")
+        return 0
+    with open(args.out, "wb") as fh:
+        save_embedding(e, fh)
+        size = fh.tell()
+    print(f"entries: {stored} bytes: {size}")
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -22,15 +22,19 @@ import math
 import random
 import struct
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import eq
 from typing import BinaryIO, Union
 
-from .graph import Graph
+from .graph import _EXACT_INT, Graph
 from .sssp import _check_vertex, landmark_matrix, multi_source_spt, shortest_path_tree
 
 _MAGIC = b"LEMB"
-_VERSION = 1
+_VERSION = 2  # save writes it; load also reads version 1
 _KIND_FULL = 1
 _KIND_DISTRIBUTED = 2
+_INDEX_CODES = "BHIQ"  # unsigned ints, narrowest first
+_DISTANCE_CODES = _INDEX_CODES + "fd"
 
 
 @dataclass(frozen=True)
@@ -275,16 +279,29 @@ def build_distributed_embedding(g: Graph, L: LandmarkSet) -> DistributedEmbeddin
 Embedding = Union[AltEmbedding, DistributedEmbedding]
 
 
-def _layout(kind: int, nv: int, k: int) -> list:
+def _layout(kind: int, nv: int, k: int, codes: "str | None" = None) -> list:
     """What a kind stores after the header, in file order, as sections
-    (name, struct code, values per row, rows): the landmark ids, then the
-    full table's k rows of nv f64, or nv u64 owners and nv f64 owner
-    distances, then the k x k matrix. Repeat counts keep it O(1)."""
+    (name, holds distances, struct code, values per row, rows): the
+    landmark ids, then the full table's k rows of nv distances, or nv
+    owner indices and nv owner distances, then the k x k matrix. codes
+    gives one struct code per section, as a v2 header does; without it
+    the codes are v1's, Q for indices and d for distances. Repeat counts
+    keep it O(1)."""
     if kind == _KIND_FULL:
-        body = [("distance table", "d", nv, k)]
+        body = [("distance table", True, nv, k)]
     else:
-        body = [("owner indices", "Q", nv, 1), ("owner distances", "d", nv, 1)]
-    return [("landmark ids", "Q", k, 1), *body, ("landmark matrix", "d", k, k)]
+        body = [("owner indices", False, nv, 1), ("owner distances", True, nv, 1)]
+    sections = [("landmark ids", False, k, 1), *body, ("landmark matrix", True, k, k)]
+    if codes is None:
+        codes = ["d" if distance else "Q" for _, distance, _, _ in sections]
+    out = []
+    for (name, distance, per, rows), code in zip(sections, codes):
+        allowed = _DISTANCE_CODES if distance else _INDEX_CODES
+        if code not in allowed:
+            raise ValueError(f"embedding file has code {code!r} for the {name}, "
+                             f"expected one of {allowed!r}")
+        out.append((name, distance, code, per, rows))
+    return out
 
 
 def _parts(e: Embedding) -> tuple:
@@ -316,30 +333,117 @@ def space_accounting(e: Embedding) -> tuple:
     layout = _layout(kind, nv, len(e.landmarks))
     stored = sum(
         len(row)
-        for (_, code, _, _), rows in zip(layout, blocks) if code == "d"
+        for (_, distance, *_), rows in zip(layout, blocks) if distance
         for row in rows
     )
-    formula = sum(per * count for _, code, per, count in layout if code == "d")
+    formula = sum(per * count for _, distance, _, per, count in layout if distance)
     return stored, formula
 
 
 def save_embedding(e: Embedding, stream: BinaryIO) -> None:
-    """Versioned binary layout (all integers little-endian):
+    """Versioned binary layout (all integers little-endian), version 2:
 
     magic "LEMB" | version u8 | kind u8 (1 full, 2 distributed) |
-    2 pad bytes | |V| u64 | |L| u64 | the sections _layout lists.
-    Integral distances are restored to ints on load.
+    2 pad bytes | |V| u64 | |L| u64 | one struct code byte per _layout
+    section | the sections _layout lists, each at its code's width.
+
+    Each section is written at the narrowest code that holds every one
+    of its values exactly (see _encode), so the bytes depend only on the
+    values: saving a loaded embedding writes the same bytes again.
     """
     kind, nv, blocks = _parts(e)
     k = len(e.landmarks)
-    stream.write(struct.pack("<4sBB2xQQ", _MAGIC, _VERSION, kind, nv, k))
-    for (_, code, per, _), rows in zip(_layout(kind, nv, k), blocks):
-        for row in rows:
-            stream.write(struct.pack(f"<{per}{code}", *row))
+    encoded = [
+        _encode(rows, distance)
+        for (_, distance, *_), rows in zip(_layout(kind, nv, k), blocks)
+    ]
+    codes = "".join(code for code, _ in encoded).encode("ascii")
+    stream.write(struct.pack("<4sBB2xQQ", _MAGIC, _VERSION, kind, nv, k) + codes)
+    for _, data in encoded:
+        stream.write(data)
+
+
+def _encode(rows: list, distance: bool) -> tuple:
+    """(struct code, little-endian bytes) of one section's rows.
+
+    Indices take the narrowest of B, H, I and Q that holds the largest.
+    Distances take the narrowest unsigned int code when every value is
+    integral (an int, or a float such as 3.0) and in [0, 2**53); else f
+    (f32) when every value survives the f32 round trip and none has its
+    sign bit set, as eighths and inf do; else d (f64), as tenths do.
+    """
+    if not distance:
+        return _pack_uint(rows)
+    ints = _uint_rows(rows)
+    if ints is not None:
+        return _pack_uint(ints)
+    data = _exact_f32(rows)
+    if data is not None and not data[3::4].translate(None, _SIGN_CLEAR):
+        return "f", data
+    return "d", _pack_rows(rows, "d")
+
+
+def _uint_rows(rows: list) -> "list | None":
+    """rows as ints if every value is integral, in [0, 2**53) (v1's exact
+    range) and free of a sign bit; else None."""
+    flat = chain.from_iterable
+    floats = not all(type(sum(row)) is int for row in rows)  # else ints only
+    if floats:
+        try:
+            # floor raises on inf and NaN; a number equals its floor iff integral
+            if not all(map(eq, map(math.floor, flat(rows)), flat(rows))):
+                return None
+        except (OverflowError, ValueError):
+            return None
+    if min(flat(rows), default=0) < 0 or max(flat(rows), default=0) >= _EXACT_INT:
+        return None
+    if not floats:
+        return rows
+    # copysign finds -0.0, which min lets by; a load refuses it as negative,
+    # and an int code would turn it into 0
+    if min(map(math.copysign, repeat(1.0), flat(rows))) < 0:
+        return None
+    return [list(map(int, row)) for row in rows]
+
+
+def _exact_f32(rows: list) -> "bytearray | None":
+    """rows as little-endian f32, or None unless each value survives."""
+    out = bytearray()
+    for row in rows:
+        fmt = f"<{len(row)}f"
+        try:
+            data = struct.pack(fmt, *row)
+        except (OverflowError, struct.error):  # finite, beyond f32's range
+            return None
+        if struct.unpack(fmt, data) != tuple(row):
+            return None
+        out += data
+    return out
+
+
+def _pack_uint(rows: list) -> tuple:
+    """(code, bytes) of int rows at the narrowest unsigned width; a value
+    beyond u64, or below 0, is a struct.error, as in version 1."""
+    top = max(chain.from_iterable(rows), default=0)
+    code = next(
+        (c for c in _INDEX_CODES if top < 1 << 8 * struct.calcsize("<" + c)), "Q"
+    )
+    return code, _pack_rows(rows, code)
+
+
+def _pack_rows(rows: list, code: str) -> bytearray:
+    """rows as little-endian values of code, in one buffer."""
+    out = bytearray()
+    for row in rows:
+        out += struct.pack(f"<{len(row)}{code}", *row)
+    return out
 
 
 def load_embedding(stream: BinaryIO) -> Embedding:
-    """Inverse of save_embedding; validates magic, version, and kind.
+    """Inverse of save_embedding, for versions 1 and 2; validates magic,
+    version, kind and each section's code (an index section takes only
+    an int code). Version 1 has no code bytes: its codes are _layout's
+    default, so both versions share the size check and the reads.
 
     On a seekable stream the counts in the header are checked against
     the bytes that follow before any payload is read; on any stream the
@@ -354,13 +458,17 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     magic, version, kind = struct.unpack("<4sBB2x", head)
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    if version != _VERSION:
+    if version not in (1, _VERSION):
         raise ValueError(f"unsupported embedding version {version}")
     nv, k = struct.unpack("<QQ", _read_exact(stream, 16))
     if kind not in (_KIND_FULL, _KIND_DISTRIBUTED):
         raise ValueError(f"unknown embedding kind {kind}")
-    layout = _layout(kind, nv, k)
-    need = sum(struct.calcsize("<" + c) * per * rows for _, c, per, rows in layout)
+    codes = None
+    if version == _VERSION:
+        count = len(_layout(kind, nv, k))
+        codes = _read_exact(stream, count, "header").decode("latin-1")
+    layout = _layout(kind, nv, k, codes)
+    need = sum(struct.calcsize("<" + c) * per * rows for _, _, c, per, rows in layout)
     left = _bytes_left(stream)
     if left is not None and need > left:
         raise ValueError(
@@ -371,7 +479,10 @@ def load_embedding(stream: BinaryIO) -> Embedding:
         raise ValueError(
             f"embedding file has {left - need} bytes after the payload"
         )
-    [ids], *blocks = [_read_block(stream, *section) for section in layout]
+    [ids], *blocks = [
+        _read_block(stream, name, code, per, rows)
+        for name, _, code, per, rows in layout
+    ]
     if left is None and stream.read(1):
         raise ValueError("embedding file has bytes after the payload")
     for i, row in enumerate(blocks[-1]):
@@ -399,24 +510,26 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     return DistributedEmbedding(L, owner, dist, lmatrix)
 
 
-_SIGN_CLEAR = bytes(range(0x80))  # last bytes of f64 values with sign 0
+_SIGN_CLEAR = bytes(range(0x80))  # last bytes of f32/f64 values with sign 0
 
 
 def _read_block(stream: BinaryIO, name: str, code: str, per: int,
                 rows: int) -> list:
-    """rows rows of per values of struct code; f64 values are distances,
-    so a NaN or a value with its sign bit set (negative, or -0.0) fails,
-    and they come back as ints where integral."""
-    size = struct.calcsize("<" + code) * per
+    """rows rows of per values of struct code. Int codes come back as
+    read. f32 and f64 values are distances, so a NaN or a value with its
+    sign bit set (negative, or -0.0) fails, and they come back as ints
+    where integral."""
+    width = struct.calcsize("<" + code)
+    fmt = f"<{per}{code}"
     out = []
     for _ in range(rows):
-        raw = _read_exact(stream, size)
-        values = struct.unpack(f"<{per}{code}", raw)
-        if code == "d":
-            # Byte 7 of a little-endian f64 holds the sign bit and the top
-            # exponent bits. Only a value whose byte 7 is 0x7f can be NaN
-            # (or inf, or above 2**1008), so only such a row is summed.
-            top = raw[7::8]
+        raw = _read_exact(stream, width * per)
+        values = struct.unpack(fmt, raw)
+        if code in "fd":
+            # The last byte of a little-endian float holds the sign bit and
+            # the top exponent bits. Only a value whose last byte is 0x7f
+            # can be NaN (or inf, or huge), so only such a row is summed.
+            top = raw[width - 1::width]
             if top.translate(None, _SIGN_CLEAR) or (
                 b"\x7f" in top and math.isnan(sum(values))
             ):

@@ -47,6 +47,7 @@ A mode sets only the counters, never a value.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import astuple, dataclass
 from math import inf, isfinite
@@ -200,6 +201,12 @@ def classify_scenario(
     return "S5"
 
 
+# The top byte of a native double holds its sign and the top 7 bits of its
+# exponent; under 0x43 they prove the exponent below 49, so |x| < 2**49.
+_TOP = 7 if sys.byteorder == "little" else 0
+_BELOW_2_49 = bytes(b for b in range(256) if b & 0x7F < 0x43)
+
+
 def _packed_columns(table: list) -> "list | None":
     """Per-vertex columns of packed doubles, or None to keep tuples.
 
@@ -217,7 +224,12 @@ def _packed_columns(table: list) -> "list | None":
     flat = array("d")
     for row in table:
         flat.frombytes(pack(f"{nv}d", *row))
-    if not -_EXACT_INT < min(flat) <= max(flat) < _EXACT_INT:
+    # min and max box every entry, so they are read only when some top
+    # byte fails to prove its double below 2**49 in magnitude.
+    top = memoryview(flat).cast("B")[_TOP::8].tobytes()
+    if top.translate(None, _BELOW_2_49) and not (
+        -_EXACT_INT < min(flat) <= max(flat) < _EXACT_INT
+    ):
         return None
     return [flat[v::nv] for v in range(nv)]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import struct
 
 INF = math.inf
 
@@ -119,3 +120,24 @@ def heap_kernel(n: int, edges: list, sources: list, watch=None) -> tuple:
             if not settled[v]:
                 dist[v], owner[v], parent[v] = INF, -1, -1
     return dist, owner, parent
+
+
+def lemb_v1_bytes(e) -> bytes:
+    """The LEMB version 1 file of an embedding, as save_embedding wrote it
+    before version 2: a 24-byte header (magic, version 1, kind, 2 pad
+    bytes, |V| and |L| as u64), then the landmark ids, the full table or
+    the owners and owner distances, then the landmark matrix, with every
+    index a u64 and every distance an f64, all little-endian. Kept so
+    that tests can pin that version 1 files still load."""
+    ids = [e.landmarks.ids]
+    if hasattr(e, "table"):
+        kind, nv = 1, len(e.table[0])
+        sections = [("Q", ids), ("d", e.table), ("d", e.lmatrix)]
+    else:
+        kind, nv = 2, len(e.owner)
+        sections = [("Q", ids), ("Q", [e.owner]), ("d", [e.dist_to_owner]),
+                    ("d", e.lmatrix)]
+    out = [struct.pack("<4sBB2xQQ", b"LEMB", 1, kind, nv, len(ids[0]))]
+    for code, rows in sections:
+        out += [struct.pack(f"<{len(row)}{code}", *row) for row in rows]
+    return b"".join(out)

@@ -1,12 +1,14 @@
 """Command-line surface, exercised in-process through cli.main."""
 
+import io
 import json
 import math
 import struct
 
 import pytest
 
-from polyroute import cli, load_report
+import oracles
+from polyroute import cli, load_embedding, load_report
 from polyroute.cli import main
 
 
@@ -88,7 +90,11 @@ class TestPreprocess:
                            "--method", "alp", "--strategy", "farthest",
                            "--landmarks", "2", "--out", str(emb))
         assert code == 0
-        assert emb.stat().st_size > 0
+        # header 24 bytes, 4 code bytes, then 2 ids, 6 owners, 6 owner
+        # distances and the 2 x 2 matrix, one byte each on unit weights
+        assert emb.stat().st_size == 46
+        assert out.splitlines()[1:] == ["entries: 10 bytes: 46",
+                                        f"wrote {emb}"]
         code, out, _ = run(capsys, "query", "--graph", p6_file,
                            "--method", "alp", "--embedding", str(emb),
                            "--source", "1", "--target", "4")
@@ -131,8 +137,10 @@ class TestPreprocess:
         run(capsys, "preprocess", "--graph", p6_file, "--method", "alp",
             "--landmarks", "2", "--out", str(emb))
         data = bytearray(emb.read_bytes())
-        # header 24 bytes, two landmark ids, then one u64 owner per vertex
-        data[48:56] = struct.pack("<Q", 7)
+        # header 24 bytes, 4 code bytes, two u8 landmark ids, then one u8
+        # owner per vertex
+        assert data[24:28] == b"BBBB"
+        data[31] = 7
         emb.write_bytes(bytes(data))
         code, out, err = run(capsys, "query", "--graph", p6_file,
                              "--method", "alp", "--embedding", str(emb),
@@ -143,9 +151,11 @@ class TestPreprocess:
             "but there are only 2 landmarks\n"
 
 
+    # A version 1 file, whose f64 sections can hold what a corrupt file
+    # holds: header 24 bytes, two u64 landmark ids, six u64 owners, then
+    # six f64 owner distances
     @pytest.mark.parametrize("at, patch, message", [
         (168, b"garbage", "embedding file has 7 bytes after the payload"),
-        # header 24 bytes, two landmark ids, six u64 owners, then distances
         (88, struct.pack("<d", math.nan),
          "embedding file has a NaN or negative value in the owner distances"),
         (96, struct.pack("<d", math.inf),
@@ -160,7 +170,7 @@ class TestPreprocess:
         emb = tmp_path / "p6.lemb"
         run(capsys, "preprocess", "--graph", p6_file, "--method", "alp",
             "--landmarks", "2", "--out", str(emb))
-        data = emb.read_bytes()
+        data = oracles.lemb_v1_bytes(load_embedding(io.BytesIO(emb.read_bytes())))
         emb.write_bytes(data[:at] + patch + data[at + 8:])
         code, out, err = run(capsys, "query", "--graph", p6_file,
                              "--method", "alp", "--embedding", str(emb),
@@ -168,6 +178,21 @@ class TestPreprocess:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_embedding_float_code_for_owners(self, p6_file, tmp_path,
+                                             capsys):
+        emb = tmp_path / "p6.lemb"
+        run(capsys, "preprocess", "--graph", p6_file, "--method", "alp",
+            "--landmarks", "2", "--out", str(emb))
+        data = emb.read_bytes()
+        # the second code byte is the owner section's
+        emb.write_bytes(data[:25] + b"f" + data[26:])
+        code, out, err = run(capsys, "query", "--graph", p6_file,
+                             "--method", "alp", "--embedding", str(emb),
+                             "--source", "1", "--target", "4")
+        assert (code, out) == (1, "")
+        assert err == "error: embedding file has code 'f' for the owner " \
+            "indices, expected one of 'BHIQ'\n"
 
     def test_embedding_header_counts_beyond_file(self, p6_file, tmp_path,
                                                  capsys):

@@ -585,18 +585,15 @@ class TestSerialization:
 
     def test_truncated_payload(self, p6):
         e = build_distributed_embedding(p6, LandmarkSet((0, 5)))
-        buf = io.BytesIO()
-        save_embedding(e, buf)
-        data = buf.getvalue()[:-4]
+        data = oracles.lemb_v1_bytes(e)[:-4]
         with pytest.raises(ValueError, match="truncated"):
             load_embedding(io.BytesIO(data))
 
     def test_owner_index_beyond_landmarks(self, p6):
         e = build_distributed_embedding(p6, LandmarkSet((0, 5)))
-        buf = io.BytesIO()
-        save_embedding(e, buf)
-        data = bytearray(buf.getvalue())
-        # header 24 bytes, two landmark ids, then one u64 owner per vertex
+        data = bytearray(oracles.lemb_v1_bytes(e))
+        # version 1: header 24 bytes, two u64 landmark ids, then one u64
+        # owner per vertex
         data[48:56] = struct.pack("<Q", 7)
         with pytest.raises(ValueError, match="vertex 1 has owner index 7"):
             load_embedding(io.BytesIO(bytes(data)))
@@ -624,7 +621,8 @@ class TestSerialization:
     def test_short_reads(self, p6):
         for e in (build_alt_embedding(p6, LandmarkSet((0, 5))),
                   build_distributed_embedding(p6, LandmarkSet((0, 5)))):
-            assert load_embedding(Trickle(lemb_bytes(e))) == e
+            for data in (lemb_bytes(e), oracles.lemb_v1_bytes(e)):
+                assert load_embedding(Trickle(data)) == e
 
     def test_deterministic_bytes(self, grid3):
         e = build_distributed_embedding(grid3, LandmarkSet((0, 8)))
@@ -672,8 +670,9 @@ def stored_fields(e):
 
 
 class TestLembLayout:
-    """The v1 bytes and values that save_embedding and load_embedding
-    must keep."""
+    """The version 1 bytes that load_embedding must keep reading, and the
+    values and refusals it must keep. The files come from the version 1
+    writer in oracles, so the offsets below are version 1's."""
 
     def golden(self):
         alt = build_alt_embedding(
@@ -690,11 +689,15 @@ class TestLembLayout:
 
     def test_golden_bytes(self):
         alt, alp = self.golden()
-        a, d = lemb_bytes(alt), lemb_bytes(alp)
+        a, d = oracles.lemb_v1_bytes(alt), oracles.lemb_v1_bytes(alp)
         assert (len(a), hashlib.sha256(a).hexdigest()) == (
             152, "6baa74220b1ab5067a36a73372d59a333fd4ec065fd7f901f1c72f993ec4ece7")
         assert (len(d), hashlib.sha256(d).hexdigest()) == (
             168, "140d38642f732cf57e7affa8cb1a1b5511610709c542f892b2d8039a34736241")
+        for e, data in ((alt, a), (alp, d)):
+            back = load_embedding(io.BytesIO(data))
+            assert back == e
+            assert stored_fields(back) == stored_fields(e)
 
     @settings(deadline=None, max_examples=150)
     @given(lemb_embeddings())
@@ -716,7 +719,7 @@ class TestLembLayout:
     def test_nan_or_negative_distance_fails(self, which, name, start, count,
                                             bad):
         # sections at byte offsets: header 24, landmark ids 16, owners 48
-        data = lemb_bytes(self.golden()[which])
+        data = oracles.lemb_v1_bytes(self.golden()[which])
         for at in (start, start + 8 * (count - 1)):
             corrupt = data[:at] + struct.pack("<d", bad) + data[at + 8:]
             with pytest.raises(
@@ -731,7 +734,7 @@ class TestLembLayout:
         (0, 128, "(0,1)"), (0, 136, "(1,0)"), (1, 144, "(0,1)"), (1, 152, "(1,0)"),
     ])
     def test_zero_between_distinct_landmarks_fails(self, which, at, entry):
-        data = lemb_bytes(self.golden()[which])
+        data = oracles.lemb_v1_bytes(self.golden()[which])
         corrupt = data[:at] + struct.pack("<d", 0.0) + data[at + 8:]
         with pytest.raises(ValueError, match=re.escape(
                 "embedding file has a 0 off the diagonal of the landmark "
@@ -745,7 +748,7 @@ class TestLembLayout:
         (0, 120, 0), (0, 144, 1), (1, 136, 0), (1, 160, 1),
     ])
     def test_nonzero_diagonal_fails(self, which, at, i, bad):
-        data = lemb_bytes(self.golden()[which])
+        data = oracles.lemb_v1_bytes(self.golden()[which])
         assert struct.unpack_from("<d", data, at) == (0.0,)
         corrupt = data[:at] + struct.pack("<d", bad) + data[at + 8:]
         with pytest.raises(ValueError, match=re.escape(
@@ -755,7 +758,7 @@ class TestLembLayout:
 
     @pytest.mark.parametrize("v", range(6))
     def test_infinite_owner_distance_fails(self, v):
-        data = lemb_bytes(self.golden()[1])
+        data = oracles.lemb_v1_bytes(self.golden()[1])
         at = 88 + 8 * v
         corrupt = data[:at] + struct.pack("<d", math.inf) + data[at + 8:]
         with pytest.raises(ValueError, match=f"^vertex {v} has an infinite "
@@ -764,7 +767,7 @@ class TestLembLayout:
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_bytes_after_payload_fail(self, which):
-        data = lemb_bytes(self.golden()[which])
+        data = oracles.lemb_v1_bytes(self.golden()[which])
         for extra in (b"garbage", data):
             with pytest.raises(ValueError, match=f"^embedding file has "
                                f"{len(extra)} bytes after the payload$"):
@@ -780,6 +783,280 @@ class TestLembLayout:
                         load_embedding(stream)
 
     @pytest.mark.parametrize("which", [0, 1])
+    def test_every_truncation_fails(self, which):
+        data = oracles.lemb_v1_bytes(self.golden()[which])
+        for cut in range(len(data)):
+            with pytest.raises(ValueError, match="truncated"):
+                load_embedding(io.BytesIO(data[:cut]))
+            r, w = os.pipe()
+            os.write(w, data[:cut])
+            os.close(w)
+            with os.fdopen(r, "rb") as pipe:
+                with pytest.raises(ValueError, match="truncated"):
+                    load_embedding(pipe)
+
+
+def v2_header(kind, nv, k, codes):
+    return struct.pack("<4sBB2xQQ", b"LEMB", 2, kind, nv, k) + codes
+
+
+def narrowest_code(values, distance):
+    """The code version 2 must give one section, decided value by value."""
+    def uint(x):
+        return (math.isfinite(x) and x == int(x) and 0 <= x < 2**53
+                and math.copysign(1, x) > 0)
+
+    def f32(x):
+        try:
+            back = struct.unpack("<f", struct.pack("<f", x))[0]
+        except OverflowError:
+            return False
+        return back == x and math.copysign(1, x) > 0
+
+    if not distance or all(map(uint, values)):
+        top = max(values, default=0)
+        return next(c for c, bits in zip("BHIQ", (8, 16, 32, 64))
+                    if top < 2**bits)
+    return "f" if all(map(f32, values)) else "d"
+
+
+# The values of one distance section come from a drawn subset of these,
+# so sections of ints alone, of integral floats alone, and mixes occur.
+SECTION_VALUES = (
+    st.integers(0, 255),
+    st.integers(0, 2**53),
+    st.integers(0, 2**20).map(float),
+    st.integers(0, 2**20).filter(lambda n: n % 8).map(lambda n: n / 8),
+    st.integers(0, 10**6).filter(lambda n: n % 10).map(lambda n: n / 10),
+    st.just(math.inf),
+)
+
+
+@st.composite
+def mixed_embeddings(draw):
+    """Embeddings whose sections mix ints, integral floats such as 3.0,
+    eighths, tenths and inf, within the values a load accepts."""
+    def section_values(finite=False):
+        picks = draw(st.sets(st.integers(0, len(SECTION_VALUES) - 1),
+                             min_size=1))
+        values = st.one_of(*(SECTION_VALUES[i] for i in sorted(picks)))
+        return values.filter(math.isfinite) if finite else values
+
+    ids = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4,
+                        unique=True))
+    k, nv = len(ids), draw(st.integers(1, 6))
+    L = LandmarkSet(tuple(ids))
+    off = section_values().filter(bool)
+    lmatrix = [[draw(st.sampled_from([0, 0.0])) if i == j else draw(off)
+                for j in range(k)] for i in range(k)]
+    if draw(st.booleans()):
+        values = section_values()
+        table = [draw(st.lists(values, min_size=nv, max_size=nv))
+                 for _ in range(k)]
+        return AltEmbedding(L, table, lmatrix)
+    owner = draw(st.lists(st.integers(0, k - 1), min_size=nv, max_size=nv))
+    dist = draw(st.lists(section_values(finite=True), min_size=nv,
+                         max_size=nv))
+    return DistributedEmbedding(L, owner, dist, lmatrix)
+
+
+def sections(e):
+    """(values, holds distances) of each section, in file order."""
+    if isinstance(e, AltEmbedding):
+        return [(list(e.landmarks.ids), False),
+                ([x for row in e.table for x in row], True),
+                ([x for row in e.lmatrix for x in row], True)]
+    return [(list(e.landmarks.ids), False), (e.owner, False),
+            (e.dist_to_owner, True),
+            ([x for row in e.lmatrix for x in row], True)]
+
+
+class TestLembV2:
+    """What save_embedding writes: version 2, each section at the
+    narrowest code that holds its values exactly."""
+
+    def golden(self):
+        alt, alp = TestLembLayout().golden()
+        # ids I, owners B, owner distances Q, matrix d
+        wide = DistributedEmbedding(LandmarkSet((70000, 3)), [0, 1, 1],
+                                    [0, 300, 2**40], [[0, 0.1], [0.1, 0]])
+        # ids H, table H (7.0 is integral), matrix B
+        narrow = AltEmbedding(LandmarkSet((300,)), [[0, 300, 7.0]], [[0]])
+        return alt, alp, wide, narrow
+
+    def test_golden_bytes(self):
+        got = [lemb_bytes(e) for e in self.golden()]
+        assert [(len(d), d[24:28], hashlib.sha256(d).hexdigest())
+                for d in got] == [
+            (85, b"Bff\x00",
+             "125fd6ab377c89d44501fb70291f9d8d2f814f525eef772909cf3e4c4548901d"),
+            (76, b"BBff",
+             "223fd002cdba9d1dde71fa386f10b35a6a12946bf676c9df8bdc7230371c92ba"),
+            (95, b"IBQd",
+             "835320b5d10efc1ecd4a83e897d51ac0a9e3b074615c8cbcc8d332235e49514c"),
+            (36, b"HHB,",
+             "1f459e9eb323635fa3b5619dc06e0ea723127ad97d72c7a08f02557853c9da43"),
+        ]
+
+    def test_golden_values(self):
+        for e in self.golden():
+            data = lemb_bytes(e)
+            back = load_embedding(io.BytesIO(data))
+            v1 = load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e)))
+            assert back == e
+            assert stored_fields(back) == stored_fields(v1)
+            assert lemb_bytes(back) == data
+        assert load_embedding(io.BytesIO(lemb_bytes(self.golden()[3]))).table \
+            == [[0, 300, 7]]
+
+    @settings(deadline=None, max_examples=200)
+    @given(mixed_embeddings())
+    def test_codes_follow_values(self, e):
+        data = lemb_bytes(e)
+        back = load_embedding(io.BytesIO(data))
+        v1 = load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e)))
+        assert back == e
+        assert stored_fields(back) == stored_fields(v1)
+        assert lemb_bytes(back) == data
+        assert lemb_bytes(v1) == data
+        codes = data[24:24 + len(sections(e))].decode()
+        assert codes == "".join(narrowest_code(values, distance)
+                                for values, distance in sections(e))
+
+    @pytest.mark.parametrize("build", [build_alt_embedding,
+                                       build_distributed_embedding])
+    def test_built_eighths_grid_rewrites_same_bytes(self, build):
+        g = reweighted(generate_grid(10, 10), eighths, 1)
+        e = build(g, select_farthest(g, 4, 1))
+        data = lemb_bytes(e)
+        assert b"f" in data[24:28]
+        back = load_embedding(io.BytesIO(data))
+        assert back == e
+        assert stored_fields(back) != stored_fields(e)  # 3.0 came back as 3
+        assert lemb_bytes(back) == data
+
+    @pytest.mark.parametrize("top, code", [
+        (255, "B"), (255.0, "B"), (256, "H"), (2**16 - 1, "H"), (2**16, "I"),
+        (2**32 - 1, "I"), (2**32, "Q"), (2**53 - 1, "Q"), (2**53, "f"),
+        (2.0**53, "f"), (2**53 + 2, "d"), (0.125, "f"), (2.0**-149, "f"),
+        (2.0**-150 * 3, "d"), (2.0**128, "d"),
+    ])
+    def test_distance_code_boundaries(self, top, code):
+        e = AltEmbedding(LandmarkSet((0, 1)), [[0, top], [top, 0]],
+                         [[0, 1], [1, 0]])
+        data = lemb_bytes(e)
+        assert data[24:27] == f"B{code}B".encode()
+        back = load_embedding(io.BytesIO(data))
+        v1 = load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e)))
+        assert stored_fields(back) == stored_fields(v1)
+        assert lemb_bytes(back) == data
+
+    @pytest.mark.parametrize("top, code", [
+        (255, "B"), (256, "H"), (2**16, "I"), (2**32, "Q"), (2**64 - 1, "Q"),
+    ])
+    def test_index_code_boundaries(self, top, code):
+        e = AltEmbedding(LandmarkSet((0, top)), [[0, 1], [1, 0]],
+                         [[0, 1], [1, 0]])
+        data = lemb_bytes(e)
+        assert data[24:25] == code.encode()
+        assert load_embedding(io.BytesIO(data)).landmarks.ids == (0, top)
+
+    @pytest.mark.parametrize("bad", [-0.0, -3.0, -3, -0.5, math.nan])
+    def test_what_a_load_refuses_saves_as_d(self, bad):
+        e = DistributedEmbedding(LandmarkSet((0, 1)), [0, 1, 0],
+                                 [0, bad, 3.0], [[0, 5], [5, 0]])
+        data = lemb_bytes(e)
+        assert data[24:28] == b"BBdB"
+        for saved in (data, oracles.lemb_v1_bytes(e)):
+            with pytest.raises(ValueError, match="^embedding file has a NaN "
+                               "or negative value in the owner distances$"):
+                load_embedding(io.BytesIO(saved))
+
+    # sections at byte offsets: header 24 and one code per section, then
+    # ids (B), and for the distributed file owners (B) at 30
+    @pytest.mark.parametrize("bad", [math.nan, -3.0, -math.inf, -0.0])
+    @pytest.mark.parametrize("which, name, start, count", [
+        (0, "distance table", 29, 10),
+        (0, "landmark matrix", 69, 4),
+        (1, "owner distances", 36, 6),
+        (1, "landmark matrix", 60, 4),
+    ])
+    def test_nan_or_negative_in_f_section_fails(self, which, name, start,
+                                                count, bad):
+        data = lemb_bytes(self.golden()[which])
+        for at in (start, start + 4 * (count - 1)):
+            corrupt = data[:at] + struct.pack("<f", bad) + data[at + 4:]
+            with pytest.raises(
+                ValueError, match=f"^embedding file has a NaN or negative "
+                f"value in the {name}$"
+            ):
+                load_embedding(io.BytesIO(corrupt))
+
+    # matrix sections at byte offsets 69 (full) and 60 (distributed)
+    @pytest.mark.parametrize("which, at, value, refusal", [
+        (1, 64, 0.0, "a 0 off the diagonal of the landmark matrix, at (0,1)"),
+        (1, 72, 2.5, "a nonzero diagonal entry of the landmark matrix, at (1,1)"),
+        (0, 69, 2.5, "a nonzero diagonal entry of the landmark matrix, at (0,0)"),
+    ])
+    def test_matrix_refusals_in_f_section(self, which, at, value, refusal):
+        data = lemb_bytes(self.golden()[which])
+        corrupt = data[:at] + struct.pack("<f", value) + data[at + 4:]
+        with pytest.raises(ValueError, match=re.escape(
+                f"embedding file has {refusal}")):
+            load_embedding(io.BytesIO(corrupt))
+
+    @pytest.mark.parametrize("v", range(6))
+    def test_infinite_owner_distance_fails(self, v):
+        data = lemb_bytes(self.golden()[1])
+        at = 36 + 4 * v
+        corrupt = data[:at] + struct.pack("<f", math.inf) + data[at + 4:]
+        with pytest.raises(ValueError, match=f"^vertex {v} has an infinite "
+                           "owner distance$"):
+            load_embedding(io.BytesIO(corrupt))
+
+    @pytest.mark.parametrize("v", range(6))
+    def test_owner_beyond_landmarks_in_b_section(self, v):
+        data = bytearray(lemb_bytes(self.golden()[1]))
+        assert data[25:26] == b"B"
+        data[30 + v] = 7
+        with pytest.raises(ValueError, match=f"^vertex {v} has owner index 7, "
+                           "but there are only 2 landmarks$"):
+            load_embedding(io.BytesIO(bytes(data)))
+
+    @pytest.mark.parametrize("which, at, name, code", [
+        (1, 24, "landmark ids", b"f"),
+        (1, 25, "owner indices", b"f"),
+        (1, 25, "owner indices", b"d"),
+        (1, 26, "owner distances", b"x"),
+        (0, 26, "landmark matrix", b"\0"),
+        (0, 25, "distance table", b"q"),
+    ])
+    def test_bad_code_fails(self, which, at, name, code):
+        data = lemb_bytes(self.golden()[which])
+        corrupt = data[:at] + code + data[at + 1:]
+        with pytest.raises(ValueError, match=re.escape(
+                f"embedding file has code {code.decode()!r} for the {name}, "
+                "expected one of")):
+            load_embedding(io.BytesIO(corrupt))
+
+    @pytest.mark.parametrize("kind, codes", [(1, b"Bdd"), (2, b"BBdd")])
+    @pytest.mark.parametrize("nv, k", [(6, 2**61), (2**61, 2)])
+    def test_header_counts_beyond_file(self, kind, codes, nv, k):
+        data = v2_header(kind, nv, k, codes) + bytes(200)
+        with pytest.raises(ValueError, match=f"declares {nv} vertices and {k}"):
+            load_embedding(io.BytesIO(data))
+
+    @pytest.mark.parametrize("which", range(4))
+    def test_bytes_after_payload_fail(self, which):
+        data = lemb_bytes(self.golden()[which])
+        with pytest.raises(ValueError, match="^embedding file has 7 bytes "
+                           "after the payload$"):
+            load_embedding(io.BytesIO(data + b"garbage"))
+        with pytest.raises(ValueError, match="^embedding file has bytes "
+                           "after the payload$"):
+            load_embedding(Trickle(data + b"garbage"))
+
+    @pytest.mark.parametrize("which", range(4))
     def test_every_truncation_fails(self, which):
         data = lemb_bytes(self.golden()[which])
         for cut in range(len(data)):

@@ -375,6 +375,18 @@ class TestAltEvaluatorStorage:
         assert make_alt_evaluator(e)(1, 0)[0] == big
         assert_matches_alt_h(e)
 
+    # Entries of 2**49 or more in magnitude leave the top-byte test, so
+    # min and max decide: below 2**53 packs, 2**53 and up keeps tuples.
+    @pytest.mark.parametrize("big, packs", [
+        (2.0**49, True), (2.0**53 - 1, True), (-(2.0**52 + 1), True),
+        (2.0**53, False), (-(2.0**53), False), (2.0**60, False),
+    ])
+    def test_float_near_double_precision(self, big, packs):
+        table = [[0, 0.5, big], [abs(big), 0, 1.5]]
+        e = AltEmbedding(LandmarkSet((0, 1)), table, [[0, 1], [1, 0]])
+        assert (_packed_columns(e.table) is not None) == packs
+        assert_matches_alt_h(e)
+
     def test_astar_identical_on_float_grid(self):
         g = weighted_grid(12, eighths)
         e = round_trip(build_alt_embedding(g, select_farthest(g, 8, seed=4)))
