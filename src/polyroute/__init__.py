@@ -42,11 +42,7 @@ from .embedding import (
 from .heuristics import (
     MODES,
     SCENARIOS,
-    HeuristicEval,
     OpCounters,
-    alp_components,
-    alp_dual_h,
-    alt_h,
     classify_scenario,
     make_alp_evaluator,
     make_alt_evaluator,
@@ -80,8 +76,7 @@ __all__ = [
     "build_alt_embedding", "build_distributed_embedding",
     "check_embedding_fits", "load_embedding", "save_embedding",
     "select_avoid", "select_farthest", "select_random", "space_accounting",
-    "MODES", "SCENARIOS", "HeuristicEval", "OpCounters",
-    "alp_components", "alp_dual_h", "alt_h", "classify_scenario",
+    "MODES", "SCENARIOS", "OpCounters", "classify_scenario",
     "make_alp_evaluator", "make_alt_evaluator",
     "QueryResult", "astar", "dijkstra_query",
     "BenchError", "BenchRow", "CSV_HEADER", "VerificationReport",

@@ -16,6 +16,7 @@ times are written as zero unless --timing is given).
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -201,10 +202,11 @@ def _cmd_preprocess(args) -> int:
     if not args.out:
         print(f"entries: {stored}")
         return 0
+    data = io.BytesIO()
+    save_embedding(e, data)  # first, so a refused save leaves no file
     with open(args.out, "wb") as fh:
-        save_embedding(e, fh)
-        size = fh.tell()
-    print(f"entries: {stored} bytes: {size}")
+        fh.write(data.getbuffer())
+    print(f"entries: {stored} bytes: {data.tell()}")
     print(f"wrote {args.out}")
     return 0
 

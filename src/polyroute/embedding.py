@@ -22,11 +22,11 @@ import math
 import random
 import struct
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 from operator import eq
 from typing import BinaryIO, Union
 
-from .graph import _EXACT_INT, Graph
+from .graph import Graph
 from .sssp import _check_vertex, landmark_matrix, multi_source_spt, shortest_path_tree
 
 _MAGIC = b"LEMB"
@@ -354,8 +354,8 @@ def save_embedding(e: Embedding, stream: BinaryIO) -> None:
     kind, nv, blocks = _parts(e)
     k = len(e.landmarks)
     encoded = [
-        _encode(rows, distance)
-        for (_, distance, *_), rows in zip(_layout(kind, nv, k), blocks)
+        _encode(rows, name, distance)
+        for (name, distance, *_), rows in zip(_layout(kind, nv, k), blocks)
     ]
     codes = "".join(code for code, _ in encoded).encode("ascii")
     stream.write(struct.pack("<4sBB2xQQ", _MAGIC, _VERSION, kind, nv, k) + codes)
@@ -363,14 +363,16 @@ def save_embedding(e: Embedding, stream: BinaryIO) -> None:
         stream.write(data)
 
 
-def _encode(rows: list, distance: bool) -> tuple:
+def _encode(rows: list, name: str, distance: bool) -> tuple:
     """(struct code, little-endian bytes) of one section's rows.
 
     Indices take the narrowest of B, H, I and Q that holds the largest.
     Distances take the narrowest unsigned int code when every value is
-    integral (an int, or a float such as 3.0) and in [0, 2**53); else f
+    integral (an int, or a float such as 3.0) and in [0, 2**64); else f
     (f32) when every value survives the f32 round trip and none has its
-    sign bit set, as eighths and inf do; else d (f64), as tenths do.
+    sign bit set, as eighths and inf do; else d (f64), as tenths do. A
+    section with an int that d would round too, such as 2**64 + 1, fits
+    no code and raises ValueError.
     """
     if not distance:
         return _pack_uint(rows)
@@ -380,12 +382,24 @@ def _encode(rows: list, distance: bool) -> tuple:
     data = _exact_f32(rows)
     if data is not None and not data[3::4].translate(None, _SIGN_CLEAR):
         return "f", data
+    inexact = next(filterfalse(_f64_holds, chain.from_iterable(rows)), None)
+    if inexact is not None:
+        raise ValueError(f"no embedding file code holds {inexact} in the "
+                         f"{name} exactly")
     return "d", _pack_rows(rows, "d")
 
 
+def _f64_holds(x) -> bool:
+    """Whether an f64 holds x exactly; only an int can fail."""
+    try:
+        return type(x) is not int or float(x) == x
+    except OverflowError:
+        return False
+
+
 def _uint_rows(rows: list) -> "list | None":
-    """rows as ints if every value is integral, in [0, 2**53) (v1's exact
-    range) and free of a sign bit; else None."""
+    """rows as ints if every value is integral, in [0, 2**64) and free of
+    a sign bit; else None."""
     flat = chain.from_iterable
     floats = not all(type(sum(row)) is int for row in rows)  # else ints only
     if floats:
@@ -395,7 +409,7 @@ def _uint_rows(rows: list) -> "list | None":
                 return None
         except (OverflowError, ValueError):
             return None
-    if min(flat(rows), default=0) < 0 or max(flat(rows), default=0) >= _EXACT_INT:
+    if min(flat(rows), default=0) < 0 or max(flat(rows), default=0) >= 1 << 64:
         return None
     if not floats:
         return rows

@@ -2,9 +2,9 @@
 
 Two heuristics over the two embeddings:
 
-* full-table bound (alt_h): max over landmarks l of |d(v,l) - d(t,l)|,
+* full-table bound: max over landmarks l of |d(v,l) - d(t,l)|,
   one subtraction per landmark.
-* dual-landmark bound (alp_dual_h): v and t each know only their owner
+* dual-landmark bound: v and t each know only their owner
   landmark (l1, l2) and the owner pairwise matrix. With a = d(v,l1),
   b = d(t,l2), D = d(l1,l2), the candidate lower bounds on d(v,t) are
 
@@ -25,9 +25,10 @@ Two heuristics over the two embeddings:
   max(0, pi1, pi2, pi3, pi6) = max(0, D - a - b, |a - b| - D). By cases:
   a, b <= D gives pi6 = pi1 = pi3 = D - a - b; a > D >= b gives pi6 - pi1
   = 2b(1 - a/D) <= 0; a <= D < b gives pi6 - pi3 = 2a(1 - b/D) <= 0; a, b
-  > D gives pi6 = D - a - b < 0. alp_dual_h keeps every candidate as the
-  reference; make_alp_evaluator computes only the two surviving terms,
-  which round differently on decimal weights (see make_alp_evaluator).
+  > D gives pi6 = D - a - b < 0. make_alp_evaluator computes only the
+  two surviving terms, which round differently on decimal weights (see
+  make_alp_evaluator); tests/oracles.py keeps every candidate as the
+  reference.
 
 Operation counting: a binary minus counts as one subtraction whether or
 not it sits inside an absolute value; taking the absolute value itself
@@ -50,7 +51,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import astuple, dataclass
-from math import inf, isfinite
+from math import isfinite
 from operator import sub
 from struct import pack
 from typing import Callable
@@ -92,86 +93,11 @@ _ALP_PRICES = {
 MODES = tuple(_ALP_PRICES)
 
 
-@dataclass(frozen=True)
-class HeuristicEval:
-    """One evaluation: clamped value, labeled candidates, and cost.
-
-    components maps candidate labels to values; None marks a candidate
-    unavailable under the embedding (pi4/pi5 cross-owner, pi6
-    same-owner).
-    """
-
-    value: float
-    components: dict
-    counters: OpCounters
-
-
 # Lightweight evaluator protocol used by the search engine: returns
 # (value, subtractions, multiplications, divisions, arity) per call.
 # astar(g, s, t, None) takes no evaluator and returns dijkstra_query's
 # result, which runs on the sssp kernel and never calls this protocol.
 Evaluator = Callable[[int, int], tuple]
-
-
-def alt_h(e: AltEmbedding, v: int, t: int) -> HeuristicEval:
-    """Full-table bound: max over landmarks of |d(v,l) - d(t,l)|."""
-    table = e.table
-    components = {}
-    best = 0
-    for i, row in enumerate(table):
-        c = abs(row[v] - row[t])
-        components[f"lm{i}"] = c
-        if c > best:
-            best = c
-    k = len(table)
-    return HeuristicEval(
-        value=best,
-        components=components,
-        counters=OpCounters(k, 0, 0, k),
-    )
-
-
-def alp_components(e: DistributedEmbedding, v: int, t: int) -> dict:
-    """All candidate bounds for (v, t), None where unavailable."""
-    l1 = e.owner[v]
-    l2 = e.owner[t]
-    a = e.dist_to_owner[v]
-    b = e.dist_to_owner[t]
-    D = e.lmatrix[l1][l2]
-    same = l1 == l2
-    return {
-        "pi1": abs(a - D) - b,
-        "pi2": abs(a - b) - D,
-        "pi3": abs(D - b) - a,
-        "pi4": abs(a - b) if same else None,
-        "pi5": abs(a - b) if same else None,
-        # D = inf puts v and t in different components; pi6 takes its
-        # limit there, inf, not inf / inf = nan.
-        "pi6": None if same else (
-            inf if D == inf else (abs(a - D) * abs(D - b) - a * b) / D),
-    }
-
-
-def _alp_counters(same_owner: bool, mode: str) -> OpCounters:
-    if mode not in _ALP_PRICES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    same, cross = _ALP_PRICES[mode]
-    return same if same_owner else cross
-
-
-def alp_dual_h(
-    e: DistributedEmbedding, v: int, t: int, mode: str = "literal"
-) -> HeuristicEval:
-    """Dual-landmark bound: max(0, max of available candidates)."""
-    comps = alp_components(e, v, t)
-    value = max(c for c in comps.values() if c is not None)
-    if value < 0:
-        value = 0
-    return HeuristicEval(
-        value=value,
-        components=comps,
-        counters=_alp_counters(comps["pi6"] is None, mode),
-    )
 
 
 def classify_scenario(
@@ -235,10 +161,11 @@ def _packed_columns(table: list) -> "list | None":
 
 
 def make_alt_evaluator(e: AltEmbedding) -> Evaluator:
-    """Closure form of alt_h for the search inner loop.
+    """Full-table bound max over landmarks l of |d(v,l) - d(t,l)|, as a
+    closure for the search inner loop.
 
     Float tables are reduced by one C-level max over packed doubles;
-    integer tables by a Python loop over tuples. Both give alt_h's value.
+    integer tables by a Python loop over tuples. Both give the same value.
     """
     k = len(e.table)
     packed = _packed_columns(e.table)
@@ -265,16 +192,19 @@ def make_alt_evaluator(e: AltEmbedding) -> Evaluator:
 
 
 def make_alp_evaluator(e: DistributedEmbedding, mode: str = "literal") -> Evaluator:
-    """Closure form of alp_dual_h for the search inner loop.
-
-    Cross-owner pairs take the two-term form of the module docstring in
-    every mode; counter constants come from the declared mode. Values
-    equal alp_dual_h's wherever the arithmetic is exact (ints, binary
+    """Dual-landmark bound as a closure for the search inner loop:
+    |a - b| when v and t share an owner, else max(0, D - a - b,
+    |a - b| - D), in every mode; counter constants come from the
+    declared mode. Values equal max(0, every available candidate of the
+    module docstring) wherever the arithmetic is exact (ints, binary
     fractions) and are never higher on rounded decimals, where pi1, pi3
     and pi6 round apart (see "Exact decimal weights" in ROADMAP.md).
     """
-    s_sub, s_mul, s_div, s_ar = astuple(_alp_counters(True, mode))
-    c_sub, c_mul, c_div, c_ar = astuple(_alp_counters(False, mode))
+    if mode not in _ALP_PRICES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    same, cross = _ALP_PRICES[mode]
+    s_sub, s_mul, s_div, s_ar = astuple(same)
+    c_sub, c_mul, c_div, c_ar = astuple(cross)
     owner = e.owner
     dto = e.dist_to_owner
     lmatrix = e.lmatrix

@@ -30,13 +30,14 @@ from polyroute import (
     track_kernels,
 )
 
+import oracles
+
 CORPUS_SEEDS = tuple(range(100))
 CORPUS_K = 4
 PAIR_CAP = 2000
 SMALL_N = 60
 
-CROSS_OPS = (9, 2, 1, 4)
-SAME_OPS = (8, 0, 0, 5)
+SAME_OPS, CROSS_OPS = oracles.ALP_PRICES["literal"]
 
 
 def all_pairs_oracle(g: Graph, cap: int = 5000) -> list:
@@ -174,8 +175,6 @@ def _analyze_graph(seed: int, ev: CorpusEvidence) -> None:
     fp = make_alp_evaluator(alp_e)
     fa1 = make_alt_evaluator(alt1_e)
     owner = alp_e.owner
-    dto = alp_e.dist_to_owner
-    lmx = alp_e.lmatrix
 
     pairs = corpus_pairs(g, seed)
     ev.pairs_checked += len(pairs)
@@ -206,24 +205,20 @@ def _analyze_graph(seed: int, ev: CorpusEvidence) -> None:
                 ev.counter_violations, 20,
                 (seed, s, t, same, (subs, muls, divs, arity), expected),
             )
+        ref = oracles.alp_dual_h(alp_e, s, t)
         if same:
+            # the evaluator's |a - b| against the max over pi1..pi5
             ev.same_owner_pairs += 1
-            ident = abs(dto[s] - dto[t])
-            if hv_alp != ident:
+            if hv_alp != ref.value:
                 _note(
                     ev.reduction_violations, 20,
-                    (seed, s, t, "identity", hv_alp, ident),
+                    (seed, s, t, "identity", hv_alp, ref.value),
                 )
         else:
-            a = dto[s]
-            b = dto[t]
-            D = lmx[owner[s]][owner[t]]
-            x = abs(a - D)
-            z = abs(D - b)
-            pi6 = (x * z - a * b) / D
-            if pi6 > d:
-                _note(ev.pi6_violations, 20, (seed, s, t, d, pi6))
-            if pi6 > max(x - b, z - a):
+            c = ref.components
+            if c["pi6"] > d:
+                _note(ev.pi6_violations, 20, (seed, s, t, d, c["pi6"]))
+            if c["pi6"] > max(c["pi1"], c["pi3"]):
                 ev.pi6_wins += 1
 
         tag = classify_scenario(alt_e, alp_e, s, t)

@@ -4,7 +4,9 @@ Everything here is deliberately naive and written against raw edge lists,
 not the package's Graph type, so a bug in the package cannot hide in the
 oracle. Bellman-Ford relaxation to a fixed point is the distance oracle,
 a plain tuple-heap Dijkstra the oracle of the kernel's tie rule, and the
-heuristic bounds are recomputed from first principles.
+heuristic bounds are written out candidate by candidate, priced by a
+table of their own: the reference the package's evaluators, which
+compute only the terms that can win, are checked against.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 import struct
+from dataclasses import dataclass
 
 INF = math.inf
 
@@ -43,11 +46,6 @@ def all_pairs(n: int, edges: list) -> list:
     return [bellman_ford(n, edges, s) for s in range(n)]
 
 
-def triangle_bound(rows: list, landmarks: list, v: int, t: int) -> float:
-    """Best single-landmark lower bound on d(v,t): max |d(v,l) - d(t,l)|."""
-    return max(abs(rows[l][v] - rows[l][t]) for l in landmarks)
-
-
 def nearest_landmark(rows: list, landmarks: list, v: int) -> tuple:
     """(landmark position, distance) of v's closest landmark, ties to the
     earliest position in the landmark sequence."""
@@ -61,10 +59,45 @@ def nearest_landmark(rows: list, landmarks: list, v: int) -> tuple:
     return best_pos, best
 
 
+@dataclass(frozen=True)
+class HeuristicEval:
+    """One reference evaluation: the clamped value, every candidate by
+    label, and the price (subtractions, multiplications, divisions,
+    terms), in the order the package's evaluators return them.
+
+    components maps candidate labels to values; None marks a candidate
+    unavailable under the embedding (pi4/pi5 cross-owner, pi6
+    same-owner).
+    """
+
+    value: float
+    components: dict
+    counters: tuple
+
+
+# (same-owner, cross-owner) price of one dual-landmark evaluation per
+# mode. literal prices every available candidate as written: 5 terms
+# over 8 subtractions same-owner, 4 terms over 9 subtractions, 2
+# multiplications and 1 division cross-owner. reduced prices the
+# two-term form: |a - b| same-owner, max(D - a - b, |a - b| - D) cross.
+ALP_PRICES = {
+    "literal": ((8, 0, 0, 5), (9, 2, 1, 4)),
+    "reduced": ((1, 0, 0, 1), (4, 0, 0, 2)),
+}
+
+
+def alt_h(e, v: int, t: int) -> HeuristicEval:
+    """Full-table bound of an ALT embedding: max over landmarks l of
+    |d(v,l) - d(t,l)|, one subtraction per landmark."""
+    components = {f"lm{i}": abs(row[v] - row[t]) for i, row in enumerate(e.table)}
+    k = len(components)
+    return HeuristicEval(max(0, *components.values()), components, (k, 0, 0, k))
+
+
 def quadrilateral_bounds(a: float, b: float, big_d: float) -> list:
-    """The three two-landmark lower bounds on d(v,t) given
+    """pi1, pi2, pi3: the three triangle-chain lower bounds on d(v,t) given
     a = d(v, own landmark of v), b = d(t, own landmark of t), and
-    big_d = distance between the two landmarks (assumed distinct)."""
+    big_d = distance between the two landmarks (0 when they coincide)."""
     return [
         abs(a - big_d) - b,
         abs(a - b) - big_d,
@@ -73,8 +106,40 @@ def quadrilateral_bounds(a: float, b: float, big_d: float) -> list:
 
 
 def ratio_bound(a: float, b: float, big_d: float) -> float:
-    """The cross-ratio lower bound on d(v,t) for distinct owner landmarks."""
+    """pi6: Ptolemy's inequality over (v, l1, l2, t), for distinct owner
+    landmarks. big_d = inf puts v and t in different components; pi6
+    takes its limit there, inf, not inf / inf = nan."""
+    if big_d == INF:
+        return INF
     return (abs(a - big_d) * abs(big_d - b) - a * b) / big_d
+
+
+def alp_components(e, v: int, t: int) -> dict:
+    """Every candidate bound of a distributed embedding for (v, t), None
+    where unavailable: pi4 = pi5 = |a - b| only when v and t share an
+    owner, pi6 only when they do not."""
+    l1 = e.owner[v]
+    l2 = e.owner[t]
+    a = e.dist_to_owner[v]
+    b = e.dist_to_owner[t]
+    big_d = e.lmatrix[l1][l2]
+    same = l1 == l2
+    pi1, pi2, pi3 = quadrilateral_bounds(a, b, big_d)
+    pi4 = abs(a - b) if same else None
+    return {
+        "pi1": pi1, "pi2": pi2, "pi3": pi3, "pi4": pi4, "pi5": pi4,
+        "pi6": None if same else ratio_bound(a, b, big_d),
+    }
+
+
+def alp_dual_h(e, v: int, t: int, mode: str = "literal") -> HeuristicEval:
+    """Dual-landmark bound: max(0, max of the available candidates),
+    priced by ALP_PRICES[mode] for its owner case."""
+    comps = alp_components(e, v, t)
+    value = max(c for c in comps.values() if c is not None)
+    same, cross = ALP_PRICES[mode]
+    price = cross if comps["pi4"] is None else same
+    return HeuristicEval(max(value, 0), comps, price)
 
 
 def heap_kernel(n: int, edges: list, sources: list, watch=None) -> tuple:

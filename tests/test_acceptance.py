@@ -15,7 +15,6 @@ import pathlib
 from polyroute import (
     LandmarkSet,
     WorkloadSpec,
-    alt_h,
     build_alt_embedding,
     build_distributed_embedding,
     derive_seed,
@@ -87,9 +86,7 @@ def test_criterion_3_op_counts(corpus):
         fa = make_alt_evaluator(e)
         n = g.vertex_count
         for v, t in [(0, n - 1), (1, n // 2), (n - 1, 0), (2, 2)]:
-            counters = fa(v, t)[1:]
-            rich = alt_h(e, v, t).counters
-            if counters != (k, 0, 0, k) or rich.subtractions != k:
+            if fa(v, t)[1:] != (k, 0, 0, k):
                 alt_ok = False
     ok = not corpus.counter_violations and alt_ok
     detail = (

@@ -101,6 +101,21 @@ class TestPreprocess:
         assert code == 0
         assert "distance: 3" in out
 
+    @pytest.mark.parametrize("method", ["alt", "alp"])
+    def test_distance_no_code_holds_is_clean_error(self, tmp_path, capsys,
+                                                   method):
+        graph = tmp_path / "big.gr"
+        graph.write_text(f"p sp 3 2\na 1 2 {2**64 + 1}\na 2 3 1\n")
+        emb = tmp_path / "big.lemb"
+        code, out, err = run(capsys, "preprocess", "--graph", str(graph),
+                             "--method", method, "--landmarks", "1",
+                             "--out", str(emb))
+        assert code == 1
+        assert err.startswith("error: no embedding file code holds ")
+        assert err.count("\n") == 1
+        assert "wrote" not in out
+        assert not emb.exists()
+
     def test_embedding_kind_must_match_method(self, p6_file, tmp_path,
                                               capsys):
         emb = tmp_path / "p6.lemb"

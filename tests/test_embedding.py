@@ -803,7 +803,7 @@ def v2_header(kind, nv, k, codes):
 def narrowest_code(values, distance):
     """The code version 2 must give one section, decided value by value."""
     def uint(x):
-        return (math.isfinite(x) and x == int(x) and 0 <= x < 2**53
+        return (math.isfinite(x) and x == int(x) and 0 <= x < 2**64
                 and math.copysign(1, x) > 0)
 
     def f32(x):
@@ -937,9 +937,10 @@ class TestLembV2:
 
     @pytest.mark.parametrize("top, code", [
         (255, "B"), (255.0, "B"), (256, "H"), (2**16 - 1, "H"), (2**16, "I"),
-        (2**32 - 1, "I"), (2**32, "Q"), (2**53 - 1, "Q"), (2**53, "f"),
-        (2.0**53, "f"), (2**53 + 2, "d"), (0.125, "f"), (2.0**-149, "f"),
-        (2.0**-150 * 3, "d"), (2.0**128, "d"),
+        (2**32 - 1, "I"), (2**32, "Q"), (2**53 - 1, "Q"), (2**53, "Q"),
+        (2.0**53, "Q"), (2**53 + 2, "Q"), (2**64 - 2**11, "Q"), (2**64, "f"),
+        (2.0**64, "f"), (0.125, "f"), (2.0**-149, "f"), (2.0**-150 * 3, "d"),
+        (2.0**128, "d"), (2**128 + 2**76, "d"),
     ])
     def test_distance_code_boundaries(self, top, code):
         e = AltEmbedding(LandmarkSet((0, 1)), [[0, top], [top, 0]],
@@ -950,6 +951,27 @@ class TestLembV2:
         v1 = load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e)))
         assert stored_fields(back) == stored_fields(v1)
         assert lemb_bytes(back) == data
+
+    @pytest.mark.parametrize("build", [build_alt_embedding,
+                                       build_distributed_embedding])
+    def test_ints_beyond_double_precision_round_trip(self, build):
+        # 2**53 + 1 and 2**53 + 2 are distances; an f64 would round the first
+        g = build_graph(3, [(0, 1, 2**53 + 1), (1, 2, 1)])
+        e = build(g, LandmarkSet((0,)))
+        data = lemb_bytes(e)
+        assert b"Q" in data[24:28]
+        back = load_embedding(io.BytesIO(data))
+        assert stored_fields(back) == stored_fields(e)
+
+    @pytest.mark.parametrize("big", [2**64 + 1, 2**1100, -(2**53 + 1)],
+                             ids=["2**64+1", "2**1100", "-(2**53+1)"])
+    def test_int_that_no_code_holds_fails_save(self, big):
+        e = AltEmbedding(LandmarkSet((0, 1)), [[0, 2], [2, 0]],
+                         [[0, big], [big, 0]])
+        with pytest.raises(ValueError, match=re.escape(
+                f"no embedding file code holds {big} in the landmark matrix "
+                "exactly")):
+            lemb_bytes(e)
 
     @pytest.mark.parametrize("top, code", [
         (255, "B"), (256, "H"), (2**16, "I"), (2**32, "Q"), (2**64 - 1, "Q"),

@@ -117,26 +117,43 @@ def _reads(node) -> list:
     return names
 
 
+def _exports(trees: dict) -> list:
+    """The names each __all__ in trees lists, in order."""
+    return [elt.value
+            for tree in trees.values() for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", "") == "__all__" for t in node.targets)
+            for elt in node.value.elts]
+
+
+def _reads_outside_definitions(trees: dict) -> set:
+    """Names read anywhere in trees (module name -> ast) outside their
+    own top-level definition. __init__ defines nothing here."""
+    read = set()
+    for module, tree in trees.items():
+        own = {} if module == "__init__" else dict(_top_level_definitions(tree))
+        for node in tree.body:
+            read |= {name for name in _reads(node) if own.get(name) is not node}
+    return read
+
+
 def unreferenced_definitions(sources: dict) -> list:
     """module.name of each top-level definition in sources (module name ->
     text) that nothing else in sources reads and no __all__ lists.
     __init__ defines nothing here but its reads and __all__ count."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    exported = set()
-    for tree in trees.values():
-        for node in tree.body:
-            if (isinstance(node, ast.Assign)
-                    and any(getattr(t, "id", "") == "__all__" for t in node.targets)):
-                exported |= {elt.value for elt in node.value.elts}
-    read = set()  # names read outside their own definition
-    defined = []
-    for module, tree in trees.items():
-        own = {} if module == "__init__" else dict(_top_level_definitions(tree))
-        defined += [(module, name) for name in own]
-        for node in tree.body:
-            read |= {name for name in _reads(node) if own.get(name) is not node}
-    return [f"{module}.{name}" for module, name in defined
-            if name not in exported | read]
+    kept = set(_exports(trees)) | _reads_outside_definitions(trees)
+    return [f"{module}.{name}" for module, tree in trees.items()
+            if module != "__init__"
+            for name, _ in _top_level_definitions(tree) if name not in kept]
+
+
+def unread_exports(sources: dict) -> list:
+    """Each name an __all__ in sources (module name -> text) lists that
+    no code in sources reads outside the name's own definition."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = _reads_outside_definitions(trees)
+    return [name for name in _exports(trees) if name not in read]
 
 
 def test_dead_definition_check_flags_unread_names():
@@ -155,6 +172,34 @@ def test_library_defines_only_what_it_uses_or_exports():
         for path in sorted((ROOT / "src" / "polyroute").glob("*.py"))
     }
     assert unreferenced_definitions(sources) == []
+
+
+def test_unread_export_check_flags_unread_names():
+    sources = {
+        "__init__": "from .a import run, helper, spare\n"
+                    "__all__ = ['run', 'helper', 'spare']\n",
+        "a": "def run():\n    return helper()\n\n"
+             "def helper():\n    return 1\n\n"
+             "def spare(n):\n    return spare(n - 1) if n else 0\n",
+        "tools/cli": "from a import run\nrun()\n",
+    }
+    assert unread_exports(sources) == ["spare"]
+
+
+def test_every_export_is_read_by_library_perfbench_or_tools():
+    """A name in polyroute.__all__ earns its place by a reader that ships
+    with the package or drives it: library code other than the name's own
+    definition, perfbench/ or tools/. Tests and demos do not count."""
+    sources = {
+        path.stem: path.read_text()
+        for path in sorted((ROOT / "src" / "polyroute").glob("*.py"))
+    }
+    sources |= {
+        f"{folder}/{path.stem}": path.read_text()
+        for folder in ("perfbench", "tools")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    assert unread_exports(sources) == []
 
 
 def _methods(tree) -> list:
