@@ -20,8 +20,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, fields
-from itertools import groupby
-from operator import itemgetter
 from typing import Sequence, TextIO
 
 from .embedding import (
@@ -133,6 +131,21 @@ def _draw_pair(rng, n: int) -> tuple:
     return s, t + (t >= s)
 
 
+def _pair_distances(g: Graph, pairs: Sequence) -> list:
+    """The distance of each (source, target) pair, in order, from one
+    shortest_path_tree per distinct source, each dropped before the
+    next, so memory holds one distance row at a time."""
+    by_source: dict = {}
+    for i, (s, _) in enumerate(pairs):
+        by_source.setdefault(s, []).append(i)
+    out = [None] * len(pairs)
+    for s, indices in by_source.items():
+        dist = shortest_path_tree(g, s).dist
+        for i in indices:
+            out[i] = dist[pairs[i][1]]
+    return out
+
+
 def _stratified_queries(g: Graph, spec: WorkloadSpec, rng) -> list:
     n = g.vertex_count
     if n * n <= 10_000:
@@ -143,12 +156,7 @@ def _stratified_queries(g: Graph, spec: WorkloadSpec, rng) -> list:
         while len(seen) < want:
             seen.add(_draw_pair(rng, n))
         pool = sorted(seen)
-    # The pool is sorted by source: one tree per source, dropped after
-    # its targets are read.
-    dists = []
-    for s, pairs in groupby(pool, key=itemgetter(0)):
-        row = shortest_path_tree(g, s).dist
-        dists.extend(row[t] for _, t in pairs)
+    dists = _pair_distances(g, pool)
     max_d = max(dists)
     if max_d == math.inf:
         s, t = pool[dists.index(max_d)]
@@ -263,35 +271,27 @@ class VerificationReport:
 def verify_workload(g: Graph, rows: Sequence) -> VerificationReport:
     """Recompute every row's distance from scratch and compare exactly.
 
-    Rows are grouped by source, and each source's rows are checked from
-    one single-source run that is dropped before the next, so memory
-    holds one distance row at a time. Violations are listed in row
-    order. A row whose source or target is not a vertex of g raises
-    ValueError naming the row.
+    Each source's rows are checked from one single-source run that is
+    dropped before the next, so memory holds one distance row at a time.
+    Violations are listed in row order. A row whose source or target is
+    not a vertex of g raises ValueError naming the row.
     """
-    by_source: dict = {}
     for i, row in enumerate(rows):
         for what in ("source", "target"):
             _check_vertex(g, getattr(row, what), f"row {i}: {what}")
-        by_source.setdefault(row.source, []).append(i)
-    violations = []
-    for s, indices in by_source.items():
-        dist = shortest_path_tree(g, s).dist
-        for i in indices:
-            row = rows[i]
-            expected = dist[row.target]
-            if row.distance != expected:
-                violations.append(
-                    {
-                        "row": i,
-                        "method": row.method,
-                        "source": row.source,
-                        "target": row.target,
-                        "reported": row.distance,
-                        "expected": expected,
-                    }
-                )
-    violations.sort(key=itemgetter("row"))
+    expected = _pair_distances(g, [(row.source, row.target) for row in rows])
+    violations = [
+        {
+            "row": i,
+            "method": row.method,
+            "source": row.source,
+            "target": row.target,
+            "reported": row.distance,
+            "expected": d,
+        }
+        for i, (row, d) in enumerate(zip(rows, expected))
+        if row.distance != d
+    ]
     return VerificationReport(checked=len(rows), violations=violations)
 
 

@@ -75,6 +75,11 @@ def build_graph(vertex_count: int, edges: Iterable[tuple]) -> Graph:
     of 2**53 or more next to float weights: mixed sums are rounded to
     doubles, which cannot hold such an int exactly, so a path through
     float edges could look shorter than the exact int edge.
+
+    A graph with a float weight is also rejected unless 4 * total is
+    finite and least > ulp(total), where total is the sum of all weights
+    and least the smallest: a path sum is below 2 * total, so then no
+    sum d + w rounds back to d and no distance or A* key overflows.
     """
     if vertex_count < 0:
         raise GraphError(f"vertex_count must be nonnegative, got {vertex_count}")
@@ -111,7 +116,16 @@ def build_graph(vertex_count: int, edges: Iterable[tuple]) -> Graph:
         )
     for lst in adjacency:
         lst.sort()
-    return Graph(vertex_count=vertex_count, adjacency=adjacency, edge_count=count)
+    g = Graph(vertex_count=vertex_count, adjacency=adjacency, edge_count=count)
+    if has_float:
+        weights = [w for _, _, w in g.edges()]  # canonical order
+        total, least = sum(weights), min(weights)
+        if not (math.isfinite(4 * total) and least > math.ulp(total)):
+            raise GraphError(
+                f"float weights with least {least!r} and total {total!r}: "
+                f"a double path sum could absorb a weight or overflow"
+            )
+    return g
 
 
 def _plain(text: str) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .graph import Graph
@@ -96,12 +96,9 @@ def _run_kernel(
     complete when it leaves the heap, and it is settled in id order. For
     the vertices of one owner that is the order of a heap keyed
     (distance, owner, id), and an equal-distance relaxation wins only
-    with a lower owner, so the result is the one that heap gives.
-
-    A weight absorbed by the sum (d + w == d in floating point) ties two
-    vertices of one level. From the first one on, the rest of the level
-    is settled from a heap keyed (owner, id); a vertex whose owner such
-    a weight lowers is pushed there, and settled again if it already was.
+    with a lower owner, so the result is the one that heap gives. This
+    rests on d + w > d for every relaxation, which build_graph ensures by
+    refusing weights a double path sum could absorb.
 
     At equal distance the source listed first wins. If stop_at is given
     (callers give it with one source), the run ends once every vertex in
@@ -131,68 +128,37 @@ def _run_kernel(
         d = heappop(keys)
         batch = level.pop(d)
         batch.sort()
-        rest = None  # heap of (owner, id), once a weight is absorbed
-        order = batch
-        while order is not None:
-            for u in order:
-                du = dist[u]
-                if du < d:
-                    continue
-                r = owner[u]
-                if watch is not None:
-                    settled += 1
-                    if trail is not None:
-                        trail.append(u)
-                    if watch[u]:
-                        left -= 1
-                        if not left:
-                            return dist, owner, parent, settled
-                for v, w in adj[u]:
-                    nd = du + w
-                    dv = dist[v]
-                    if nd < dv:
-                        lst = level.get(nd)
-                        if lst is not None:
-                            lst.append(v)
-                        elif nd == d:
-                            if rest is None:
-                                rest = _rest_of(batch, u, d, dist, owner)
-                            heappush(rest, (r, v))
-                        else:
-                            level[nd] = [v]
-                            heappush(keys, nd)
-                        dist[v] = nd
-                        owner[v] = r
-                        parent[v] = u
-                    elif nd == dv and r < owner[v]:
-                        if nd == d:
-                            if rest is None:
-                                rest = _rest_of(batch, u, d, dist, owner)
-                            heappush(rest, (r, v))
-                        dist[v] = nd
-                        owner[v] = r
-                        parent[v] = u
-            order = _drain(rest, owner) if rest and order is batch else None
+        for u in batch:
+            du = dist[u]
+            if du < d:
+                continue
+            r = owner[u]
+            if watch is not None:
+                settled += 1
+                if trail is not None:
+                    trail.append(u)
+                if watch[u]:
+                    left -= 1
+                    if not left:
+                        return dist, owner, parent, settled
+            for v, w in adj[u]:
+                nd = du + w
+                dv = dist[v]
+                if nd < dv:
+                    lst = level.get(nd)
+                    if lst is not None:
+                        lst.append(v)
+                    else:
+                        level[nd] = [v]
+                        heappush(keys, nd)
+                    dist[v] = nd
+                    owner[v] = r
+                    parent[v] = u
+                elif nd == dv and r < owner[v]:
+                    dist[v] = nd
+                    owner[v] = r
+                    parent[v] = u
     return dist, owner, parent, settled
-
-
-def _rest_of(batch: list, u: int, d, dist: list, owner: list) -> list:
-    """Cuts the level batch after u, the vertex being settled, and
-    returns the unsettled rest as a heap of (owner, id)."""
-    i = batch.index(u) + 1
-    rest = [(owner[x], x) for x in batch[i:] if dist[x] == d]
-    del batch[i:]
-    heapify(rest)
-    return rest
-
-
-def _drain(rest: list, owner: list):
-    """Pops rest in (owner, id) order, skipping an entry whose vertex has
-    since taken a lower owner; pushes made meanwhile are popped in turn."""
-    while rest:
-        r, v = heappop(rest)
-        if owner[v] == r:
-            yield v
 
 
 def _check_vertex(g: Graph, v: int, what: str) -> None:

@@ -293,6 +293,24 @@ class TestQuery:
         assert out == ""
         assert err == "error: line 3: non-finite weight 'inf'\n"
 
+    @pytest.mark.parametrize("text, least, total", [
+        ("p sp 3 2\na 1 2 1e308\na 2 3 1e308\n", "1e+308", "inf"),
+        ("p sp 5 5\na 1 2 1e17\na 2 3 2.0\na 2 4 1.0\na 3 5 1.0\n"
+         "a 4 5 1.0\n", "1.0", "1e+17"),
+    ], ids=["overflow", "absorbed"])
+    @pytest.mark.parametrize("method", ["dijkstra", "alt", "alp"])
+    def test_overflow_or_absorption_is_clean_error(self, tmp_path, capsys,
+                                                  text, least, total, method):
+        path = tmp_path / "wide.gr"
+        path.write_text(text)
+        code, out, err = run(capsys, "query", "--graph", str(path),
+                             "--method", method, "--landmarks", "2",
+                             "--source", "0", "--target", "2")
+        assert (code, out) == (1, "")
+        assert err == (f"error: float weights with least {least} and total "
+                       f"{total}: a double path sum could absorb a weight or "
+                       f"overflow\n")
+
     @pytest.mark.parametrize("text", [
         "p\tsp 2 1\na 1 2 3\n", "c x\np  sp 2 1\na 1 2 3\n",
     ], ids=["tab", "comment-then-two-spaces"])

@@ -64,7 +64,35 @@ class TestBuildGraph:
         ):
             build_graph(3, edges)
         # just below 2**53 every int is a double
-        assert build_graph(3, [(0, 1, 2**53 - 1), (1, 2, 0.5)]).edge_count == 2
+        assert build_graph(3, [(0, 1, 2**53 - 1), (1, 2, 4.0)]).edge_count == 2
+
+    @pytest.mark.parametrize("edges, least, total", [
+        ([(0, 1, 1e308), (1, 2, 1e308)], "1e+308", "inf"),
+        ([(0, 1, 4e307), (1, 2, 1.0)], "1.0", "4e+307"),
+        ([(0, 1, 1e17), (1, 2, 2.0), (1, 3, 1.0), (2, 4, 1.0), (3, 4, 1.0)],
+         "1.0", "1e+17"),
+        ([(0, 1, 2**53 - 1), (1, 2, 0.5)], "0.5", "9007199254740992.0"),
+    ])
+    def test_absorbing_or_overflowing_float_weights_rejected(
+            self, edges, least, total):
+        with pytest.raises(GraphError, match=re.escape(
+                f"float weights with least {least} and total {total}: a "
+                f"double path sum could absorb a weight or overflow")):
+            build_graph(5, edges)
+
+    @pytest.mark.parametrize("big, small, error", [
+        (2.0**1020, 2.0**1020, None),
+        (2.0**1021, 2.0**1021, "overflow"),  # 4 * total is inf
+        (2.0**52, 2.0, None),
+        (2.0**52, 1.0, "absorb"),  # least == ulp(total)
+    ])
+    def test_weight_check_boundary(self, big, small, error):
+        edges = [(0, 1, big), (1, 2, small)]
+        if error is None:
+            assert build_graph(3, edges).edge_count == 2
+        else:
+            with pytest.raises(GraphError, match=error):
+                build_graph(3, edges)
 
     def test_huge_int_weights_alone_stay_exact(self):
         g = build_graph(3, [(0, 1, 2**53 + 1), (1, 2, 1), (0, 2, 2**53)])
@@ -156,11 +184,20 @@ class TestDimacs:
             load_dimacs(text)
 
     def test_exponent_weights_round_trip(self):
-        g = build_graph(3, [(0, 1, 1e16), (1, 2, 2.5e-07)])
-        buf = io.StringIO()
-        save_dimacs(g, buf)
-        assert "1e+16" in buf.getvalue()
-        assert load_dimacs(buf.getvalue()) == g
+        # one graph each: 1e16 and 2.5e-07 together would be absorbed
+        for w, token in ((1e16, "1e+16"), (2.5e-07, "2.5e-07")):
+            g = build_graph(3, [(0, 1, w), (1, 2, 3.0)])
+            buf = io.StringIO()
+            save_dimacs(g, buf)
+            assert token in buf.getvalue()
+            assert load_dimacs(buf.getvalue()) == g
+
+    def test_absorbing_weights_refused_without_a_line(self):
+        with pytest.raises(GraphError, match=(
+                r"^float weights with least 1e\+308 and total inf: ")):
+            load_dimacs("p sp 3 2\na 1 2 1e308\na 2 3 1e308\n")
+        with pytest.raises(GraphError, match=r"^float weights with least 1\.0 "):
+            load_edge_list("3\n0 1 1e17\n1 2 1.0\n")
 
 
 class TestEdgeList:
@@ -457,6 +494,8 @@ WHOLE_FILE = {
     "disconnected": r"^(edge-list|DIMACS) input is not connected$",
     "huge": r"^edge \(\d+,\d+\) has int weight \d+ >= 2\*\*53 in a graph "
             r"with float weights",
+    "absorb": r"^float weights with least \S+ and total \S+: a double path "
+              r"sum could absorb a weight or overflow$",
 }
 
 # (text, value) of a weight the loaders must take
@@ -465,6 +504,9 @@ weights = st.one_of(
     st.integers(1, 80).map(lambda e: (repr(e / 8), e / 8)),
 )
 huge_weights = st.integers(0, 3).map(lambda j: (str(2**53 + j), 2**53 + j))
+# weights whose sums absorb the small ones above, or overflow
+wide_weights = st.sampled_from(["1e+17", "3e17", "1e308"]).map(
+    lambda t: (t, float(t)))
 bad_weights = st.sampled_from(["0", "-2", "0.0", "-0.5", "inf", "-inf", "nan",
                                "1e999", "x", "1/2", "0x10", "1_0", "+3",
                                "\u0661"])
@@ -479,7 +521,8 @@ line_ends = st.sampled_from(["\n", "\r\n"])
 def fuzz_edges(draw, n: int) -> list:
     """(u, v, weight token) with u != v in range(n), often a spanning
     path plus random pairs, which may repeat; sometimes one weight is an
-    int of 2**53 or more."""
+    int of 2**53 or more, and sometimes one is a float that sums with the
+    others absorb or overflow."""
     if n < 2:
         return []
     pairs = [(v, v + 1) for v in range(n - 1)] if draw(st.booleans()) else []
@@ -491,6 +534,9 @@ def fuzz_edges(draw, n: int) -> list:
     if edges and draw(st.integers(0, 4)) == 0:
         i = draw(st.integers(0, len(edges) - 1))
         edges[i] = (*edges[i][:2], draw(huge_weights))
+    if edges and draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(edges) - 1))
+        edges[i] = (*edges[i][:2], draw(wide_weights))
     return edges
 
 
@@ -540,6 +586,13 @@ def huge_next_to_float(edges: list) -> bool:
             and any(isinstance(w, int) and w >= 2**53 for w in ws))
 
 
+def absorbs_or_overflows(edges: list) -> bool:
+    ws = [w for _, _, w in edges]
+    total = sum(ws)
+    return (any(isinstance(w, float) for w in ws)
+            and not (math.isfinite(4 * total) and min(ws) > math.ulp(total)))
+
+
 @st.composite
 def edge_list_docs(draw):
     """(text, n, edges, fault lines, whole-file cause or None)."""
@@ -566,6 +619,8 @@ def edge_list_docs(draw):
         cause = "header"
     elif huge_next_to_float(edges):
         cause = "huge"
+    elif absorbs_or_overflows(edges):
+        cause = "absorb"
     elif not build_graph(n, edges).is_connected():
         cause = "disconnected"
     return text, n, edges, faults, cause
@@ -616,6 +671,8 @@ def dimacs_docs(draw):
         cause = "count"
     elif huge_next_to_float(edges):
         cause = "huge"
+    elif absorbs_or_overflows(edges):
+        cause = "absorb"
     elif not build_graph(n, edges).is_connected():
         cause = "disconnected"
     return text, n, edges, faults, cause
