@@ -34,7 +34,7 @@ _VERSION = 2  # save writes it; load also reads version 1
 _KIND_FULL = 1
 _KIND_DISTRIBUTED = 2
 _INDEX_CODES = "BHIQ"  # unsigned ints, narrowest first
-_DISTANCE_CODES = _INDEX_CODES + "fd"
+_DISTANCE_CODES = _INDEX_CODES + "efd"
 
 
 @dataclass(frozen=True)
@@ -368,9 +368,10 @@ def _encode(rows: list, name: str, distance: bool) -> tuple:
 
     Indices take the narrowest of B, H, I and Q that holds the largest.
     Distances take the narrowest unsigned int code when every value is
-    integral (an int, or a float such as 3.0) and in [0, 2**64); else f
-    (f32) when every value survives the f32 round trip and none has its
-    sign bit set, as eighths and inf do; else d (f64), as tenths do. A
+    integral (an int, or a float such as 3.0) and in [0, 2**64); else e
+    (f16) when every value survives the f16 round trip and none has its
+    sign bit set, as eighths up to 256 and inf do; else f (f32) on the
+    same terms, as larger eighths do; else d (f64), as tenths do. A
     section with an int that d would round too, such as 2**64 + 1, fits
     no code and raises ValueError.
     """
@@ -379,9 +380,11 @@ def _encode(rows: list, name: str, distance: bool) -> tuple:
     ints = _uint_rows(rows)
     if ints is not None:
         return _pack_uint(ints)
-    data = _exact_f32(rows)
-    if data is not None and not data[3::4].translate(None, _SIGN_CLEAR):
-        return "f", data
+    for code, width, exact in (("e", 2, _exact_f16), ("f", 4, _exact_f32)):
+        data = exact(rows)
+        if data is not None and not data[width - 1::width].translate(
+                None, _SIGN_CLEAR):
+            return code, data
     inexact = next(filterfalse(_f64_holds, chain.from_iterable(rows)), None)
     if inexact is not None:
         raise ValueError(f"no embedding file code holds {inexact} in the "
@@ -433,6 +436,51 @@ def _exact_f32(rows: list) -> "bytearray | None":
             return None
         out += data
     return out
+
+
+# Top bytes (sign and top 7 exponent bits) of the f64s that the f16 fast
+# test decides: 0x3f and 0x40 hold the binades 2**-15 to 2**16, 0x00 holds 0.
+_F16_TOP = b"\x00\x3f\x40"
+_LOW_2_CLEAR = bytes(b for b in range(256) if not b & 3)
+_F16_EDGE = bytes(0 if b <= 4 else 1 for b in range(256))  # f16 <= 2**-14
+
+
+def _exact_f16(rows: list) -> "bytearray | None":
+    """rows as little-endian f16, or None unless each value survives.
+
+    Decided from the values' f64 bits rather than by unpacking. No f16
+    value has any of the low 42 of an f64's 52 significand bits set, and
+    f16 holds every binade from 2**-14 to 2**15 with all 10 of the
+    others; a value of 65,520 or more does not pack. So where each value
+    passes the bit test and has a top byte in _F16_TOP, only a value in
+    binade 2**-15 (a subnormal with 9 bits) or near 0 can be inexact.
+    Those pack to an f16 of at most 2**-14 and are compared one by one.
+    Other top bytes fall back to the round trip.
+    """
+    half, wide = bytearray(), bytearray()
+    for row in rows:
+        fmt = f"<{len(row)}"
+        try:
+            half += struct.pack(fmt + "e", *row)
+        except (OverflowError, struct.error):  # finite, beyond f16's range
+            return None
+        bits = struct.pack(fmt + "d", *row)
+        zero = bytes(len(row))
+        if any(bits[i::8] != zero for i in range(5)) or bits[5::8].translate(
+                None, _LOW_2_CLEAR):
+            return None
+        wide += bits
+    if wide[7::8].translate(None, _F16_TOP):
+        flat = tuple(chain.from_iterable(rows))
+        return half if struct.unpack(f"<{len(flat)}e", half) == flat else None
+    edge = half[1::2].translate(_F16_EDGE)
+    i = edge.find(0)
+    while i != -1:
+        if (struct.unpack_from("<e", half, 2 * i)
+                != struct.unpack_from("<d", wide, 8 * i)):
+            return None
+        i = edge.find(0, i + 1)
+    return half
 
 
 def _pack_uint(rows: list) -> tuple:
@@ -524,14 +572,15 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     return DistributedEmbedding(L, owner, dist, lmatrix)
 
 
-_SIGN_CLEAR = bytes(range(0x80))  # last bytes of f32/f64 values with sign 0
+_SIGN_CLEAR = bytes(range(0x80))  # last bytes of float values with sign 0
+_BELOW_NAN = bytes(range(0x7C))  # last bytes of no f16, f32 or f64 NaN
 
 
 def _read_block(stream: BinaryIO, name: str, code: str, per: int,
                 rows: int) -> list:
     """rows rows of per values of struct code. Int codes come back as
-    read. f32 and f64 values are distances, so a NaN or a value with its
-    sign bit set (negative, or -0.0) fails, and they come back as ints
+    read. f16, f32 and f64 values are distances, so a NaN or a value with
+    its sign bit set (negative, or -0.0) fails, and they come back as ints
     where integral."""
     width = struct.calcsize("<" + code)
     fmt = f"<{per}{code}"
@@ -539,13 +588,14 @@ def _read_block(stream: BinaryIO, name: str, code: str, per: int,
     for _ in range(rows):
         raw = _read_exact(stream, width * per)
         values = struct.unpack(fmt, raw)
-        if code in "fd":
+        if code not in _INDEX_CODES:
             # The last byte of a little-endian float holds the sign bit and
-            # the top exponent bits. Only a value whose last byte is 0x7f
-            # can be NaN (or inf, or huge), so only such a row is summed.
+            # the top exponent bits. Only a value whose last byte is 0x7c
+            # or more can be NaN (or inf, or huge), at any of the widths,
+            # so only such a row is summed.
             top = raw[width - 1::width]
             if top.translate(None, _SIGN_CLEAR) or (
-                b"\x7f" in top and math.isnan(sum(values))
+                top.translate(None, _BELOW_NAN) and math.isnan(sum(values))
             ):
                 raise ValueError(
                     f"embedding file has a NaN or negative value in the {name}"

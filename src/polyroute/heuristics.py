@@ -143,18 +143,21 @@ def _packed_columns(table: list) -> "list | None":
     tables with an entry of 2**53 or more in magnitude, which a double
     may not hold exactly.
     """
-    total = sum(map(sum, table))  # an int unless some entry is a float
-    if type(total) is not float or not isfinite(total):
+    # A row sums to an int unless it holds a float; stop at the first.
+    if not any(type(sum(row)) is float for row in table):
         return None
     nv = len(table[0])
     flat = array("d")
     for row in table:
         flat.frombytes(pack(f"{nv}d", *row))
     # min and max box every entry, so they are read only when some top
-    # byte fails to prove its double below 2**49 in magnitude.
+    # byte fails to prove its double finite and below 2**49 in magnitude;
+    # min and max pass a NaN by unless it comes first, so isfinite reads
+    # every entry there too.
     top = memoryview(flat).cast("B")[_TOP::8].tobytes()
     if top.translate(None, _BELOW_2_49) and not (
-        -_EXACT_INT < min(flat) <= max(flat) < _EXACT_INT
+        all(map(isfinite, flat))
+        and -_EXACT_INT < min(flat) <= max(flat) < _EXACT_INT
     ):
         return None
     return [flat[v::nv] for v in range(nv)]

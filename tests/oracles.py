@@ -194,15 +194,30 @@ def lemb_v1_bytes(e) -> bytes:
     the owners and owner distances, then the landmark matrix, with every
     index a u64 and every distance an f64, all little-endian. Kept so
     that tests can pin that version 1 files still load."""
+    return _lemb_file(e, 1, "Qdd" if hasattr(e, "table") else "QQdd")
+
+
+def lemb_v2_bytes(e, codes: str) -> bytes:
+    """The LEMB version 2 file of an embedding with the given struct code
+    per section, such as a writer without f16 codes wrote, which put
+    eighths at f (f32). Kept so that tests can pin that such files still
+    load."""
+    return _lemb_file(e, 2, codes)
+
+
+def _lemb_file(e, version: int, codes: str) -> bytes:
+    """Header, in version 2 one code byte per section, then the sections
+    at codes."""
     ids = [e.landmarks.ids]
     if hasattr(e, "table"):
         kind, nv = 1, len(e.table[0])
-        sections = [("Q", ids), ("d", e.table), ("d", e.lmatrix)]
+        sections = [ids, e.table, e.lmatrix]
     else:
         kind, nv = 2, len(e.owner)
-        sections = [("Q", ids), ("Q", [e.owner]), ("d", [e.dist_to_owner]),
-                    ("d", e.lmatrix)]
-    out = [struct.pack("<4sBB2xQQ", b"LEMB", 1, kind, nv, len(ids[0]))]
-    for code, rows in sections:
+        sections = [ids, [e.owner], [e.dist_to_owner], e.lmatrix]
+    out = [struct.pack("<4sBB2xQQ", b"LEMB", version, kind, nv, len(ids[0]))]
+    if version == 2:
+        out.append(codes.encode("ascii"))
+    for code, rows in zip(codes, sections):
         out += [struct.pack(f"<{len(row)}{code}", *row) for row in rows]
     return b"".join(out)

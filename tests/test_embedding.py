@@ -34,6 +34,8 @@ from polyroute import (
     truncated_spt,
 )
 
+from polyroute.embedding import _exact_f16
+
 import oracles
 from corpusdef import all_pairs_oracle
 
@@ -632,6 +634,25 @@ class TestSerialization:
         assert a.getvalue() == b.getvalue()
 
 
+def half(bits: int) -> float:
+    """The f16 with this bit pattern."""
+    return struct.unpack("<e", struct.pack("<H", bits))[0]
+
+
+# Every finite positive f16; and values just past f16: the midpoint after
+# each (one bit more, or in the subnormal range half a step) and eighths
+# above 65,504, the largest f16.
+HALF_EXACT = st.integers(1, 0x7BFF).map(half)
+PAST_HALF = st.one_of(
+    st.integers(0, 0x7BFE).map(lambda b: (half(b) + half(b + 1)) / 2),
+    st.integers(1, 2**10).map(lambda n: 65504 + n / 8),
+)
+
+
+def fraction(x) -> bool:
+    return not x.is_integer()
+
+
 # Non-integral floats only: an integral f64 loads back as an int.
 lemb_values = st.one_of(
     st.integers(0, 2**53),
@@ -639,6 +660,8 @@ lemb_values = st.one_of(
     st.integers(0, 2**20).filter(lambda n: n % 8).map(lambda n: n / 8),
     st.integers(0, 10**6).filter(lambda n: n % 10).map(lambda n: n / 10),
     st.integers(1, 64).map(lambda j: 2.0**52 - j - 0.5),
+    HALF_EXACT.filter(fraction),
+    PAST_HALF.filter(fraction),
     st.just(math.inf),
 )
 
@@ -806,10 +829,10 @@ def narrowest_code(values, distance):
         return (math.isfinite(x) and x == int(x) and 0 <= x < 2**64
                 and math.copysign(1, x) > 0)
 
-    def f32(x):
+    def holds(code, x):
         try:
-            back = struct.unpack("<f", struct.pack("<f", x))[0]
-        except OverflowError:
+            back = struct.unpack(code, struct.pack(code, x))[0]
+        except (OverflowError, struct.error):
             return False
         return back == x and math.copysign(1, x) > 0
 
@@ -817,7 +840,8 @@ def narrowest_code(values, distance):
         top = max(values, default=0)
         return next(c for c, bits in zip("BHIQ", (8, 16, 32, 64))
                     if top < 2**bits)
-    return "f" if all(map(f32, values)) else "d"
+    return next((code for code in "ef"
+                 if all(holds("<" + code, x) for x in values)), "d")
 
 
 # The values of one distance section come from a drawn subset of these,
@@ -828,14 +852,50 @@ SECTION_VALUES = (
     st.integers(0, 2**20).map(float),
     st.integers(0, 2**20).filter(lambda n: n % 8).map(lambda n: n / 8),
     st.integers(0, 10**6).filter(lambda n: n % 10).map(lambda n: n / 10),
+    HALF_EXACT,
+    PAST_HALF,
     st.just(math.inf),
 )
+
+
+# Values put into sections of f16s to probe the fast test: ints, eighths,
+# tenths, signed zeros, inf, NaN, the f64s of top byte 0x00, and every
+# binade from 2**-40 to 2**18 (f16's edges sit at 2**-24, 2**-14 and
+# 65,504) with up to 12 significant bits, positive and negative, and the
+# binade 2**-15 with 11, where the last one rounds up to 2**-14.
+F16_PROBES = st.one_of(
+    st.integers(0, 70000),
+    st.integers(0, 2**20).map(lambda n: n / 8),
+    st.integers(0, 10**5).map(lambda n: n / 10),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.sampled_from([5e-324, 2.0**-1022, 2.0**-1010, 2.0**-25, 3 * 2.0**-25,
+                     2047 * 2.0**-25, 65504.0, 65520.0, 65536.0, 131071.5]),
+    st.builds(lambda m, e: m * 2.0**e, st.integers(1, 2**12),
+              st.integers(-40, 18)),
+    st.builds(lambda m, e: -m * 2.0**e, st.integers(1, 2**12),
+              st.integers(-40, 18)),
+    st.integers(2**10, 2**11 - 1).map(lambda m: m * 2.0**-25),
+    PAST_HALF,
+)
+
+
+def f16_round_trip(rows):
+    """rows as little-endian f16 if every value packs and unpacks to
+    itself, else None."""
+    flat = [x for row in rows for x in row]
+    fmt = f"<{len(flat)}e"
+    try:
+        data = struct.pack(fmt, *flat)
+    except (OverflowError, struct.error):
+        return None
+    return data if struct.unpack(fmt, data) == tuple(flat) else None
 
 
 @st.composite
 def mixed_embeddings(draw):
     """Embeddings whose sections mix ints, integral floats such as 3.0,
-    eighths, tenths and inf, within the values a load accepts."""
+    eighths, tenths, f16 values, values just past f16 and inf, within the
+    values a load accepts."""
     def section_values(finite=False):
         picks = draw(st.sets(st.integers(0, len(SECTION_VALUES) - 1),
                              min_size=1))
@@ -884,14 +944,21 @@ class TestLembV2:
         narrow = AltEmbedding(LandmarkSet((300,)), [[0, 300, 7.0]], [[0]])
         return alt, alp, wide, narrow
 
+    def previous(self):
+        """The golden full and distributed files as a writer without f16
+        codes wrote them, with the eighths at f (f32)."""
+        alt, alp = self.golden()[:2]
+        return (oracles.lemb_v2_bytes(alt, "Bff"),
+                oracles.lemb_v2_bytes(alp, "BBff"))
+
     def test_golden_bytes(self):
         got = [lemb_bytes(e) for e in self.golden()]
         assert [(len(d), d[24:28], hashlib.sha256(d).hexdigest())
                 for d in got] == [
-            (85, b"Bff\x00",
-             "125fd6ab377c89d44501fb70291f9d8d2f814f525eef772909cf3e4c4548901d"),
-            (76, b"BBff",
-             "223fd002cdba9d1dde71fa386f10b35a6a12946bf676c9df8bdc7230371c92ba"),
+            (57, b"Bee\x00",
+             "c72a68e02becd2b2462bef8a83e1d41cd6d94ff14da3eabcdf09da11886b6418"),
+            (56, b"BBee",
+             "9913722a21909744ab3b2f8a5b2914a550eaa47b7560f6c5e7d0e63ab20d09b4"),
             (95, b"IBQd",
              "835320b5d10efc1ecd4a83e897d51ac0a9e3b074615c8cbcc8d332235e49514c"),
             (36, b"HHB,",
@@ -908,6 +975,19 @@ class TestLembV2:
             assert lemb_bytes(back) == data
         assert load_embedding(io.BytesIO(lemb_bytes(self.golden()[3]))).table \
             == [[0, 300, 7]]
+
+    def test_previous_writer_files_load(self):
+        assert [(len(d), hashlib.sha256(d).hexdigest())
+                for d in self.previous()] == [
+            (85, "125fd6ab377c89d44501fb70291f9d8d2f814f525eef772909cf3e4c4548901d"),
+            (76, "223fd002cdba9d1dde71fa386f10b35a6a12946bf676c9df8bdc7230371c92ba"),
+        ]
+        for e, old in zip(self.golden(), self.previous()):
+            back = load_embedding(io.BytesIO(old))
+            new = load_embedding(io.BytesIO(lemb_bytes(e)))
+            assert back == e
+            assert stored_fields(back) == stored_fields(new)
+            assert lemb_bytes(back) == lemb_bytes(e)
 
     @settings(deadline=None, max_examples=200)
     @given(mixed_embeddings())
@@ -929,18 +1009,31 @@ class TestLembV2:
         g = reweighted(generate_grid(10, 10), eighths, 1)
         e = build(g, select_farthest(g, 4, 1))
         data = lemb_bytes(e)
-        assert b"f" in data[24:28]
+        assert b"e" in data[24:28]
         back = load_embedding(io.BytesIO(data))
         assert back == e
         assert stored_fields(back) != stored_fields(e)  # 3.0 came back as 3
+        assert lemb_bytes(back) == data
+
+    @pytest.mark.parametrize("build", [build_alt_embedding,
+                                       build_distributed_embedding])
+    def test_built_eighths_past_2048_stay_f(self, build):
+        # f16 holds no odd eighth above 256 and no fraction above 1,024
+        g = reweighted(generate_grid(10, 10), lambda rng: 300 + eighths(rng), 1)
+        e = build(g, select_farthest(g, 4, 1))
+        data = lemb_bytes(e)
+        assert b"f" in data[24:28] and b"e" not in data[24:28]
+        back = load_embedding(io.BytesIO(data))
+        assert back == e
         assert lemb_bytes(back) == data
 
     @pytest.mark.parametrize("top, code", [
         (255, "B"), (255.0, "B"), (256, "H"), (2**16 - 1, "H"), (2**16, "I"),
         (2**32 - 1, "I"), (2**32, "Q"), (2**53 - 1, "Q"), (2**53, "Q"),
         (2.0**53, "Q"), (2**53 + 2, "Q"), (2**64 - 2**11, "Q"), (2**64, "f"),
-        (2.0**64, "f"), (0.125, "f"), (2.0**-149, "f"), (2.0**-150 * 3, "d"),
-        (2.0**128, "d"), (2**128 + 2**76, "d"),
+        (2.0**64, "f"), (0.125, "e"), (1023.5, "e"), (2047.5, "f"),
+        (2.0**-24, "e"), (2.0**-25, "f"), (65504.5, "f"), (2.0**-149, "f"),
+        (2.0**-150 * 3, "d"), (2.0**128, "d"), (2**128 + 2**76, "d"),
     ])
     def test_distance_code_boundaries(self, top, code):
         e = AltEmbedding(LandmarkSet((0, 1)), [[0, top], [top, 0]],
@@ -951,6 +1044,43 @@ class TestLembV2:
         v1 = load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e)))
         assert stored_fields(back) == stored_fields(v1)
         assert lemb_bytes(back) == data
+
+    @pytest.mark.parametrize("other, code", [(0.5, "e"), (2047.5, "f"),
+                                             (0.1, "d")])
+    def test_inf_takes_the_code_of_its_section(self, other, code):
+        e = AltEmbedding(LandmarkSet((0, 1)), [[0, math.inf, other]] * 2,
+                         [[0, 1], [1, 0]])
+        data = lemb_bytes(e)
+        assert data[24:27] == f"B{code}B".encode()
+        assert load_embedding(io.BytesIO(data)).table == e.table
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_f16_fast_test_agrees_with_round_trip(self, data):
+        # rows of values that f16 holds, 0 and 0.0 among them, with up to
+        # three probes put in at drawn places
+        held = st.one_of(st.integers(0, 2048), st.just(0.0), HALF_EXACT)
+        rows = data.draw(st.lists(st.lists(held, min_size=1, max_size=6),
+                                  min_size=1, max_size=3))
+        for _ in range(data.draw(st.integers(0, 3))):  # 0: all held
+            row = data.draw(st.sampled_from(rows))
+            row.insert(data.draw(st.integers(0, len(row))),
+                       data.draw(F16_PROBES))
+        assert _exact_f16(rows) == f16_round_trip(rows)
+
+    # Next to values the top-byte test accepts, each edge is decided alone.
+    @pytest.mark.parametrize("value, held", [
+        (0, True), (0.0, True), (-0.0, True), (2.0**-24, True),
+        (1023 * 2.0**-24, True), (2.0**-25, False), (3 * 2.0**-25, False),
+        (2046 * 2.0**-25, True), (2047 * 2.0**-25, False), (2.0**-14, True),
+        (2.0**-1010, False), (5e-324, False), (65504.0, True),
+        (65520.0, False), (65536.0, False), (131071.5, False),
+        (math.inf, True), (math.nan, False),
+    ])
+    def test_f16_fast_test_edges(self, value, held):
+        rows = [[0, 1.5, 2047.0], [0.875, value, 3]]
+        assert (f16_round_trip(rows) is not None) == held
+        assert _exact_f16(rows) == f16_round_trip(rows)
 
     @pytest.mark.parametrize("build", [build_alt_embedding,
                                        build_distributed_embedding])
@@ -1005,7 +1135,7 @@ class TestLembV2:
     ])
     def test_nan_or_negative_in_f_section_fails(self, which, name, start,
                                                 count, bad):
-        data = lemb_bytes(self.golden()[which])
+        data = self.previous()[which]
         for at in (start, start + 4 * (count - 1)):
             corrupt = data[:at] + struct.pack("<f", bad) + data[at + 4:]
             with pytest.raises(
@@ -1021,7 +1151,7 @@ class TestLembV2:
         (0, 69, 2.5, "a nonzero diagonal entry of the landmark matrix, at (0,0)"),
     ])
     def test_matrix_refusals_in_f_section(self, which, at, value, refusal):
-        data = lemb_bytes(self.golden()[which])
+        data = self.previous()[which]
         corrupt = data[:at] + struct.pack("<f", value) + data[at + 4:]
         with pytest.raises(ValueError, match=re.escape(
                 f"embedding file has {refusal}")):
@@ -1029,12 +1159,62 @@ class TestLembV2:
 
     @pytest.mark.parametrize("v", range(6))
     def test_infinite_owner_distance_fails(self, v):
-        data = lemb_bytes(self.golden()[1])
+        data = self.previous()[1]
         at = 36 + 4 * v
         corrupt = data[:at] + struct.pack("<f", math.inf) + data[at + 4:]
         with pytest.raises(ValueError, match=f"^vertex {v} has an infinite "
                            "owner distance$"):
             load_embedding(io.BytesIO(corrupt))
+
+    # The same cases in the e (f16) sections of the golden files: ids (B)
+    # at 27 (full) and 28 (distributed), owners (B) at 30
+    @pytest.mark.parametrize("bits", [0x7E00, 0x7C01, 0x7FFF, 0x8000, 0xBC00,
+                                      0xFC00],
+                             ids=["nan", "nan-low", "nan-high", "-0.0", "-1.0",
+                                  "-inf"])
+    @pytest.mark.parametrize("which, name, start, count", [
+        (0, "distance table", 29, 10),
+        (0, "landmark matrix", 49, 4),
+        (1, "owner distances", 36, 6),
+        (1, "landmark matrix", 48, 4),
+    ])
+    def test_nan_or_negative_in_e_section_fails(self, which, name, start,
+                                                count, bits):
+        data = lemb_bytes(self.golden()[which])
+        for at in (start, start + 2 * (count - 1)):
+            corrupt = data[:at] + struct.pack("<H", bits) + data[at + 2:]
+            with pytest.raises(
+                ValueError, match=f"^embedding file has a NaN or negative "
+                f"value in the {name}$"
+            ):
+                load_embedding(io.BytesIO(corrupt))
+
+    @pytest.mark.parametrize("which, at, value, refusal", [
+        (1, 50, 0.0, "a 0 off the diagonal of the landmark matrix, at (0,1)"),
+        (1, 54, 2.5, "a nonzero diagonal entry of the landmark matrix, at (1,1)"),
+        (0, 49, 2.5, "a nonzero diagonal entry of the landmark matrix, at (0,0)"),
+    ])
+    def test_matrix_refusals_in_e_section(self, which, at, value, refusal):
+        data = lemb_bytes(self.golden()[which])
+        corrupt = data[:at] + struct.pack("<e", value) + data[at + 2:]
+        with pytest.raises(ValueError, match=re.escape(
+                f"embedding file has {refusal}")):
+            load_embedding(io.BytesIO(corrupt))
+
+    @pytest.mark.parametrize("v", range(6))
+    def test_infinite_distance_in_e_section(self, v):
+        data = lemb_bytes(self.golden()[1])
+        at = 36 + 2 * v
+        corrupt = data[:at] + struct.pack("<H", 0x7C00) + data[at + 2:]
+        with pytest.raises(ValueError, match=f"^vertex {v} has an infinite "
+                           "owner distance$"):
+            load_embedding(io.BytesIO(corrupt))
+        # the full table holds inf where a vertex is unreachable
+        full = lemb_bytes(self.golden()[0])
+        at = 29 + 2 * v
+        back = load_embedding(io.BytesIO(
+            full[:at] + struct.pack("<H", 0x7C00) + full[at + 2:]))
+        assert back.table[v // 5][v % 5] == math.inf
 
     @pytest.mark.parametrize("v", range(6))
     def test_owner_beyond_landmarks_in_b_section(self, v):

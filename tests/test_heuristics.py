@@ -341,6 +341,16 @@ class TestAltEvaluatorStorage:
         assert h(4, 7)[0] == 0.25
         assert h(1, 5)[0] == float("inf")
 
+    # min and max pass a NaN by unless it comes first, so a NaN at any
+    # place keeps tuples
+    @pytest.mark.parametrize("at", [(0, 1), (1, 0), (1, 2)])
+    def test_nan_entry_keeps_tuples(self, at):
+        table = [[0, 0.5, 2.0], [1.5, 0, 0.25]]
+        table[at[0]][at[1]] = math.nan
+        e = AltEmbedding(LandmarkSet((0, 1)), table, [[0, 1], [1, 0]])
+        assert _packed_columns(e.table) is None
+        assert_matches_alt_h(e)
+
     def test_int_beyond_double_precision(self):
         big = 2**53 + 1  # float(big) == 2**53
         table = [[0, big, 0.5], [big, 0, 1.5]]
