@@ -380,8 +380,8 @@ def _encode(rows: list, name: str, distance: bool) -> tuple:
     ints = _uint_rows(rows)
     if ints is not None:
         return _pack_uint(ints)
-    for code, width, exact in (("e", 2, _exact_f16), ("f", 4, _exact_f32)):
-        data = exact(rows)
+    for code, width in (("e", 2), ("f", 4)):
+        data = _pack_exact(rows, code)
         if data is not None and not data[width - 1::width].translate(
                 None, _SIGN_CLEAR):
             return code, data
@@ -423,64 +423,20 @@ def _uint_rows(rows: list) -> "list | None":
     return [list(map(int, row)) for row in rows]
 
 
-def _exact_f32(rows: list) -> "bytearray | None":
-    """rows as little-endian f32, or None unless each value survives."""
+def _pack_exact(rows: list, code: str) -> "bytearray | None":
+    """rows as little-endian values of float code, or None unless each
+    value survives the round trip."""
     out = bytearray()
     for row in rows:
-        fmt = f"<{len(row)}f"
+        fmt = f"<{len(row)}{code}"
         try:
             data = struct.pack(fmt, *row)
-        except (OverflowError, struct.error):  # finite, beyond f32's range
+        except (OverflowError, struct.error):  # finite, beyond code's range
             return None
         if struct.unpack(fmt, data) != tuple(row):
             return None
         out += data
     return out
-
-
-# Top bytes (sign and top 7 exponent bits) of the f64s that the f16 fast
-# test decides: 0x3f and 0x40 hold the binades 2**-15 to 2**16, 0x00 holds 0.
-_F16_TOP = b"\x00\x3f\x40"
-_LOW_2_CLEAR = bytes(b for b in range(256) if not b & 3)
-_F16_EDGE = bytes(0 if b <= 4 else 1 for b in range(256))  # f16 <= 2**-14
-
-
-def _exact_f16(rows: list) -> "bytearray | None":
-    """rows as little-endian f16, or None unless each value survives.
-
-    Decided from the values' f64 bits rather than by unpacking. No f16
-    value has any of the low 42 of an f64's 52 significand bits set, and
-    f16 holds every binade from 2**-14 to 2**15 with all 10 of the
-    others; a value of 65,520 or more does not pack. So where each value
-    passes the bit test and has a top byte in _F16_TOP, only a value in
-    binade 2**-15 (a subnormal with 9 bits) or near 0 can be inexact.
-    Those pack to an f16 of at most 2**-14 and are compared one by one.
-    Other top bytes fall back to the round trip.
-    """
-    half, wide = bytearray(), bytearray()
-    for row in rows:
-        fmt = f"<{len(row)}"
-        try:
-            half += struct.pack(fmt + "e", *row)
-        except (OverflowError, struct.error):  # finite, beyond f16's range
-            return None
-        bits = struct.pack(fmt + "d", *row)
-        zero = bytes(len(row))
-        if any(bits[i::8] != zero for i in range(5)) or bits[5::8].translate(
-                None, _LOW_2_CLEAR):
-            return None
-        wide += bits
-    if wide[7::8].translate(None, _F16_TOP):
-        flat = tuple(chain.from_iterable(rows))
-        return half if struct.unpack(f"<{len(flat)}e", half) == flat else None
-    edge = half[1::2].translate(_F16_EDGE)
-    i = edge.find(0)
-    while i != -1:
-        if (struct.unpack_from("<e", half, 2 * i)
-                != struct.unpack_from("<d", wide, 8 * i)):
-            return None
-        i = edge.find(0, i + 1)
-    return half
 
 
 def _pack_uint(rows: list) -> tuple:
