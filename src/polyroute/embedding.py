@@ -41,23 +41,23 @@ _DISTANCE_CODES = _INDEX_CODES + "efd"
 class LandmarkSet:
     """Ordered distinct vertex ids; order defines the landmark index.
 
-    A selector that ran full trees from its landmarks may pass on what it
-    read off them, valid only in graph: the leading rows of the landmark
-    matrix, matrix[i][j] = d(ids[i], ids[j]), and the full distance rows
-    themselves, rows[i][v] = d(ids[i], v). build_alt_embedding takes the
-    rows over once and empties the list. None of the three fields takes
-    part in equality or hashing.
+    A caller sets the ids only. select_farthest and select_avoid also hand
+    on what they read off their full trees, valid only in graph: the
+    leading rows of the landmark matrix, matrix[i][j] = d(ids[i], ids[j]),
+    and the full distance rows, rows[i][v] = d(ids[i], v), which
+    build_alt_embedding takes over once, emptying the list. None of the
+    three takes part in equality, and a bare set, a loaded file's set or a
+    dataclasses.replace of a selector's set carries none of them.
     """
 
     ids: tuple
-    matrix: tuple = field(default=(), compare=False, repr=False)
-    graph: "Graph | None" = field(default=None, compare=False, repr=False)
-    rows: list = field(default_factory=list, compare=False, repr=False)
+    matrix: tuple = field(default=(), init=False, compare=False, repr=False)
+    graph: "Graph | None" = field(default=None, init=False, compare=False, repr=False)
+    rows: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ids = tuple(self.ids)
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "rows", list(self.rows))
         if not ids:
             raise ValueError("landmark set must be nonempty")
         if len(set(ids)) != len(ids):
@@ -198,10 +198,13 @@ def _farthest(min_dist: list) -> int:
 
 def _with_matrix(g: Graph, chosen: list, rows: list) -> LandmarkSet:
     """Landmark set carrying the first len(rows) landmarks' full distance
-    rows and the matrix block read off them."""
-    ids = tuple(chosen)
-    matrix = tuple(tuple(row[l] for l in ids) for row in rows)
-    return LandmarkSet(ids, matrix=matrix, graph=g, rows=rows)
+    rows and the matrix block read off them; the only setter of the three
+    hand-off fields."""
+    L = LandmarkSet(tuple(chosen))
+    matrix = tuple(tuple(row[l] for l in L.ids) for row in rows)
+    for name, value in (("matrix", matrix), ("graph", g), ("rows", rows)):
+        object.__setattr__(L, name, value)
+    return L
 
 
 def _descend_heaviest(g: Graph, spt, weight: list):
@@ -246,11 +249,6 @@ def build_alt_embedding(g: Graph, L: LandmarkSet) -> AltEmbedding:
     table = L.rows[:] if L.graph is g else []
     if table:
         L.rows.clear()
-    if len(table) > len(L.ids) or any(len(r) != g.vertex_count for r in table):
-        raise ValueError(
-            f"landmark rows must be at most {len(L.ids)} rows of "
-            f"{g.vertex_count} entries"
-        )
     table += [shortest_path_tree(g, l).dist for l in L.ids[len(table):]]
     lmatrix = [[row[other] for other in L.ids] for row in table]
     return AltEmbedding(landmarks=L, table=table, lmatrix=lmatrix)
@@ -478,9 +476,9 @@ def load_embedding(stream: BinaryIO) -> Embedding:
         raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
     if version not in (1, _VERSION):
         raise ValueError(f"unsupported embedding version {version}")
-    nv, k = struct.unpack("<QQ", _read_exact(stream, 16))
     if kind not in (_KIND_FULL, _KIND_DISTRIBUTED):
         raise ValueError(f"unknown embedding kind {kind}")
+    nv, k = struct.unpack("<QQ", _read_exact(stream, 16, "header"))
     codes = None
     if version == _VERSION:
         count = len(_layout(kind, nv, k))

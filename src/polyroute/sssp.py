@@ -215,9 +215,9 @@ def landmark_matrix(
 
     known holds the first rows when the caller already has them (row i
     = distances from landmarks[i] to every landmark, read off a full
-    tree); each remaining landmark gets one truncated run. A truncated
-    run settles a prefix of the full run, so both give the same values
-    bit for bit. Keeps only the |L| x |L| block.
+    tree), trusted, not recomputed; each remaining landmark gets one
+    truncated run. A truncated run settles a prefix of the full run, so
+    both give the same values bit for bit. Keeps only the |L| x |L| block.
     """
     lms = tuple(landmarks)
     if len(set(lms)) != len(lms):

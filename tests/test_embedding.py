@@ -16,6 +16,7 @@ from polyroute import (
     AltEmbedding,
     DistributedEmbedding,
     LandmarkSet,
+    astar,
     build_alt_embedding,
     build_distributed_embedding,
     build_graph,
@@ -23,6 +24,7 @@ from polyroute import (
     generate_grid,
     generate_random_connected,
     load_embedding,
+    make_alp_evaluator,
     multi_source_spt,
     save_embedding,
     select_avoid,
@@ -59,15 +61,21 @@ class TestLandmarkSet:
         assert tuple(LandmarkSet((5, 0))) == (5, 0)
 
     def test_matrix_and_graph_ignored_by_equality(self, p6):
-        bare = LandmarkSet((0, 5))
-        rich = LandmarkSet((0, 5), matrix=((0, 5),), graph=p6)
+        rich = select_farthest(p6, 2, 0)
+        assert rich.matrix and rich.graph is p6 and rich.rows
+        bare = LandmarkSet(rich.ids)
         assert bare == rich
         assert hash(bare) == hash(rich)
         assert repr(bare) == repr(rich)
         assert bare.matrix == () and bare.graph is None and bare.rows == []
-        assert LandmarkSet((0, 5), rows=[[0] * 6]) == bare
         assert select_random(p6, 2, 0).matrix == ()
         assert select_random(p6, 2, 0).rows == []
+
+    @pytest.mark.parametrize("name", ["matrix", "graph", "rows"])
+    def test_hand_off_fields_take_no_argument(self, p6, name):
+        forged = {"matrix": ((0, 5),), "graph": p6, "rows": [[0] * 6]}
+        with pytest.raises(TypeError, match=name):
+            LandmarkSet((0, 5), **{name: forged[name]})
 
 
 class TestSelectRandom:
@@ -171,12 +179,6 @@ class TestBuildAlt:
         with pytest.raises(ValueError, match="out of range"):
             build_alt_embedding(p6, LandmarkSet((0, 9)))
 
-    @pytest.mark.parametrize("rows", [[[0, 1, 2]], [[0] * 6] * 3])
-    def test_rows_must_fit(self, p6, rows):
-        L = LandmarkSet((0, 5), graph=p6, rows=rows)
-        with pytest.raises(ValueError, match="at most 2 rows of 6 entries"):
-            build_alt_embedding(p6, L)
-
 
 class TestBuildDistributed:
     def test_p6(self, p6):
@@ -274,6 +276,14 @@ class Trickle(io.RawIOBase):
         return self.src.read(min(size, 5))
 
 
+def pipe_of(data: bytes):
+    """data as a stream that cannot seek: the read end of an OS pipe."""
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    return os.fdopen(r, "rb")
+
+
 MATRIX_GRAPHS = {
     "int-random": lambda: reweighted(
         generate_random_connected(80, 40, 4), lambda rng: rng.randint(1, 9), 4
@@ -369,6 +379,22 @@ class TestSelectorMatrixRows:
         bare_alt = build_alt_embedding(g2, LandmarkSet(L.ids))
         assert repr(alt.table) == repr(bare_alt.table)
         assert len(L.rows) == 4  # still there for a build on g1
+
+    @pytest.mark.parametrize("select", [select_farthest, select_avoid])
+    def test_replace_carries_no_hand_off(self, select):
+        # reordering the ids keeps no matrix or rows of the old order
+        g = generate_grid(10, 10)
+        L = select(g, 4, 1)
+        moved = dataclasses.replace(L, ids=tuple(reversed(L.ids)))
+        assert moved.matrix == () and moved.graph is None and moved.rows == []
+        for build in (build_alt_embedding, build_distributed_embedding):
+            assert stored_fields(build(g, moved)) == stored_fields(
+                build(g, LandmarkSet(moved.ids)))
+        h = make_alp_evaluator(build_distributed_embedding(g, moved))
+        oracle = all_pairs_oracle(g)
+        for s in range(g.vertex_count):
+            for t in range(g.vertex_count):
+                assert astar(g, s, t, h).distance == oracle[s][t]
 
 
 def two_components_and_an_isolated_vertex():
@@ -610,13 +636,26 @@ class TestSerialization:
     def test_header_counts_beyond_pipe(self, kind, nv, k):
         data = struct.pack("<4sBB2xQQQQ", b"LEMB", 1, kind, nv, k, 0, 1)
         data += bytes(200)
-        r, w = os.pipe()
-        os.write(w, data)
-        os.close(w)
-        with os.fdopen(r, "rb") as stream:
+        with pipe_of(data) as stream:
             assert not stream.seekable()
             with pytest.raises(ValueError, match="truncated in payload"):
                 load_embedding(stream)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_cut_in_header_counts(self, p6, version):
+        e = build_distributed_embedding(p6, LandmarkSet((0, 5)))
+        data = oracles.lemb_v1_bytes(e) if version == 1 else lemb_bytes(e)
+        for cut in range(8, 24):
+            for stream in (io.BytesIO(data[:cut]), pipe_of(data[:cut])):
+                with stream, pytest.raises(
+                        ValueError, match="^embedding file truncated in header$"):
+                    load_embedding(stream)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_unknown_kind_fails_before_counts(self, version):
+        head = struct.pack("<4sBB2x", b"LEMB", version, 9)
+        with pytest.raises(ValueError, match="^unknown embedding kind 9$"):
+            load_embedding(io.BytesIO(head))
 
     def test_short_reads(self, p6):
         for e in (build_alt_embedding(p6, LandmarkSet((0, 5))),
@@ -793,10 +832,7 @@ class TestLembLayout:
             with pytest.raises(ValueError, match=f"^embedding file has "
                                f"{len(extra)} bytes after the payload$"):
                 load_embedding(io.BytesIO(data + extra))
-            r, w = os.pipe()
-            os.write(w, data + extra)
-            os.close(w)
-            with os.fdopen(r, "rb") as pipe:
+            with pipe_of(data + extra) as pipe:
                 for stream in (Trickle(data + extra), pipe):
                     assert not stream.seekable()
                     with pytest.raises(ValueError, match="^embedding file "
@@ -809,10 +845,7 @@ class TestLembLayout:
         for cut in range(len(data)):
             with pytest.raises(ValueError, match="truncated"):
                 load_embedding(io.BytesIO(data[:cut]))
-            r, w = os.pipe()
-            os.write(w, data[:cut])
-            os.close(w)
-            with os.fdopen(r, "rb") as pipe:
+            with pipe_of(data[:cut]) as pipe:
                 with pytest.raises(ValueError, match="truncated"):
                     load_embedding(pipe)
 
@@ -1202,10 +1235,7 @@ class TestLembV2:
         for cut in range(len(data)):
             with pytest.raises(ValueError, match="truncated"):
                 load_embedding(io.BytesIO(data[:cut]))
-            r, w = os.pipe()
-            os.write(w, data[:cut])
-            os.close(w)
-            with os.fdopen(r, "rb") as pipe:
+            with pipe_of(data[:cut]) as pipe:
                 with pytest.raises(ValueError, match="truncated"):
                     load_embedding(pipe)
 

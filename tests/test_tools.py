@@ -4,9 +4,11 @@ import ast
 import importlib.util
 import json
 import pathlib
+import types
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, dataclass, field, fields, is_dataclass
 
+import polyroute
 from polyroute.bench import METHODS
 from polyroute.heuristics import _ALP_PRICES, MODES
 
@@ -200,6 +202,36 @@ def test_every_export_is_read_by_library_perfbench_or_tools():
         for path in sorted((ROOT / folder).rglob("*.py"))
     }
     assert unread_exports(sources) == []
+
+
+def settable_uncompared_fields(module) -> list:
+    """Class.field of each field of a dataclass in module.__all__ that
+    __init__ takes but equality ignores: two equal objects could then
+    carry different values, and a caller could forge one."""
+    return [f"{cls.__name__}.{f.name}"
+            for cls in (getattr(module, name) for name in module.__all__)
+            if isinstance(cls, type) and is_dataclass(cls)
+            for f in fields(cls) if f.init and not f.compare]
+
+
+def test_uncompared_field_check_flags_settable_fields():
+    @dataclass
+    class Toy:
+        key: int
+        cache: list = field(default_factory=list, compare=False)
+        note: str = field(default="", init=False, compare=False)
+
+    @dataclass
+    class Plain:
+        key: int
+
+    module = types.SimpleNamespace(__all__=["Toy", "Plain", "helper"],
+                                   Toy=Toy, Plain=Plain, helper=len)
+    assert settable_uncompared_fields(module) == ["Toy.cache"]
+
+
+def test_exported_dataclasses_compare_every_settable_field():
+    assert settable_uncompared_fields(polyroute) == []
 
 
 def _methods(tree) -> list:
