@@ -68,7 +68,8 @@ print()
 # The stored-entry counter matches the closed form for each layout. The
 # saved file holds each section at the narrowest width that keeps every
 # value exact (1 byte per distance here, since the distances are small
-# ints), so entries and bytes are the two memory numbers. The round trip
+# ints), and the symmetric landmark matrix as its entries above the
+# diagonal, so entries and bytes are the two memory numbers. The round trip
 # gives back integral distances as ints, landmark ids and owners intact.
 for label, e in (("full table", full), ("distributed", dist)):
     stored, formula = space_accounting(e)

@@ -22,19 +22,21 @@ import math
 import random
 import struct
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, filterfalse, repeat
-from operator import eq
+from operator import eq, mul, or_
 from typing import BinaryIO, Union
 
 from .graph import Graph
 from .sssp import _check_vertex, landmark_matrix, multi_source_spt, shortest_path_tree
 
 _MAGIC = b"LEMB"
-_VERSION = 2  # save writes it; load also reads version 1
+_VERSION = 3  # save writes it; load also reads versions 1 and 2
 _KIND_FULL = 1
 _KIND_DISTRIBUTED = 2
 _INDEX_CODES = "BHIQ"  # unsigned ints, narrowest first
 _DISTANCE_CODES = _INDEX_CODES + "efd"
+_FIXED_CODES = "BHI"  # fixed-point distances: narrower than f64
 
 
 @dataclass(frozen=True)
@@ -277,28 +279,39 @@ def build_distributed_embedding(g: Graph, L: LandmarkSet) -> DistributedEmbeddin
 Embedding = Union[AltEmbedding, DistributedEmbedding]
 
 
-def _layout(kind: int, nv: int, k: int, codes: "str | None" = None) -> list:
+def _layout(kind: int, nv: int, k: int, codes: "str | None" = None,
+            scales: bytes = b"", triangle: bool = False) -> list:
     """What a kind stores after the header, in file order, as sections
-    (name, holds distances, struct code, values per row, rows): the
-    landmark ids, then the full table's k rows of nv distances, or nv
-    owner indices and nv owner distances, then the k x k matrix. codes
-    gives one struct code per section, as a v2 header does; without it
-    the codes are v1's, Q for indices and d for distances. Repeat counts
-    keep it O(1)."""
+    (name, holds distances, struct code, scale, values per row, rows):
+    the landmark ids, then the full table's k rows of nv distances, or nv
+    owner indices and nv owner distances, then the k x k matrix, or with
+    triangle its k(k-1)/2 entries above the diagonal as one row. codes
+    gives one struct code per section, as a v2 or v3 header does; without
+    it the codes are v1's, Q for indices and d for distances. scales
+    gives one scale byte per section, as a v3 header does; without it
+    every scale is 0. Repeat counts keep it O(1)."""
     if kind == _KIND_FULL:
         body = [("distance table", True, nv, k)]
     else:
         body = [("owner indices", False, nv, 1), ("owner distances", True, nv, 1)]
-    sections = [("landmark ids", False, k, 1), *body, ("landmark matrix", True, k, k)]
+    matrix = (k * (k - 1) // 2, 1) if triangle else (k, k)
+    sections = [("landmark ids", False, k, 1), *body,
+                ("landmark matrix", True, *matrix)]
     if codes is None:
         codes = ["d" if distance else "Q" for _, distance, _, _ in sections]
     out = []
-    for (name, distance, per, rows), code in zip(sections, codes):
-        allowed = _DISTANCE_CODES if distance else _INDEX_CODES
+    for (name, distance, per, rows), code, scale in zip(
+            sections, codes, scales or bytes(len(sections))):
+        if scale and not distance:
+            raise ValueError(f"embedding file has scale {scale} for the "
+                             f"{name}, which holds indices")
+        allowed = (_FIXED_CODES if scale else _DISTANCE_CODES if distance
+                   else _INDEX_CODES)
         if code not in allowed:
-            raise ValueError(f"embedding file has code {code!r} for the {name}, "
-                             f"expected one of {allowed!r}")
-        out.append((name, distance, code, per, rows))
+            at = f" at scale {scale}" if scale else ""
+            raise ValueError(f"embedding file has code {code!r}{at} for the "
+                             f"{name}, expected one of {allowed!r}")
+        out.append((name, distance, code, scale, per, rows))
     return out
 
 
@@ -325,7 +338,11 @@ def check_embedding_fits(g: Graph, e: Embedding) -> None:
 def space_accounting(e: Embedding) -> tuple:
     """(stored distance entries, closed-form prediction); must agree.
 
-    Full embedding: |L|*|V| + |L|^2. Distributed: |V| + |L|^2.
+    Full embedding: |L|*|V| + |L|^2. Distributed: |V| + |L|^2. These
+    are the entries the embedding holds, the paper's count that
+    acceptance criterion 4 checks, not the entries in its file: a file
+    may keep only the k(k-1)/2 matrix entries above the diagonal, and
+    at any code (see save_embedding).
     """
     kind, nv, blocks = _parts(e)
     layout = _layout(kind, nv, len(e.landmarks))
@@ -334,35 +351,57 @@ def space_accounting(e: Embedding) -> tuple:
         for (_, distance, *_), rows in zip(layout, blocks) if distance
         for row in rows
     )
-    formula = sum(per * count for _, distance, _, per, count in layout if distance)
+    formula = sum(per * count for _, distance, _, _, per, count in layout
+                  if distance)
     return stored, formula
 
 
 def save_embedding(e: Embedding, stream: BinaryIO) -> None:
-    """Versioned binary layout (all integers little-endian), version 2:
+    """Versioned binary layout (all integers little-endian), version 3:
 
     magic "LEMB" | version u8 | kind u8 (1 full, 2 distributed) |
-    2 pad bytes | |V| u64 | |L| u64 | one struct code byte per _layout
+    matrix form u8 (0 full, 1 triangle) | 1 pad byte | |V| u64 | |L| u64
+    | one struct code byte per _layout section | one scale byte per
     section | the sections _layout lists, each at its code's width.
 
-    Each section is written at the narrowest code that holds every one
-    of its values exactly (see _encode), so the bytes depend only on the
-    values: saving a loaded embedding writes the same bytes again.
+    Two rules, decided from the values alone, so saving a loaded
+    embedding writes the same bytes again. A landmark matrix that is
+    exactly symmetric with a diagonal of 0 is written as its k(k-1)/2
+    entries above the diagonal, row-major (form 1); any other matrix in
+    full (form 0). Each section is written at the narrowest code that
+    holds every one of its values exactly, a fixed-point code with a
+    nonzero scale included (see _encode).
     """
     kind, nv, blocks = _parts(e)
     k = len(e.landmarks)
-    encoded = [
-        _encode(rows, name, distance)
-        for (name, distance, *_), rows in zip(_layout(kind, nv, k), blocks)
-    ]
-    codes = "".join(code for code, _ in encoded).encode("ascii")
-    stream.write(struct.pack("<4sBB2xQQ", _MAGIC, _VERSION, kind, nv, k) + codes)
-    for _, data in encoded:
+    upper = _upper_triangle(e.lmatrix)
+    if upper is not None:
+        blocks[-1] = [upper]
+    encoded = [_encode(rows, name, distance)
+               for (name, distance, *_), rows in zip(_layout(kind, nv, k), blocks)]
+    codes = "".join(code for code, _, _ in encoded).encode("ascii")
+    scales = bytes(scale for _, scale, _ in encoded)
+    stream.write(struct.pack("<4sBBBxQQ", _MAGIC, _VERSION, kind,
+                             upper is not None, nv, k) + codes + scales)
+    for _, _, data in encoded:
         stream.write(data)
 
 
+def _upper_triangle(m: list) -> "list | None":
+    """The entries of m above its diagonal, row-major, if m is exactly
+    symmetric with a diagonal of 0 (not -0.0, which a load refuses);
+    else None. Symmetry is read off the values the build computed, never
+    assumed: on decimal weights the two summation orders of an entry can
+    differ by an ulp, and such a matrix stays in full."""
+    diagonal = [row[i] for i, row in enumerate(m)]
+    if (any(diagonal) or min(map(math.copysign, repeat(1.0), diagonal)) < 0
+            or list(map(tuple, m)) != list(zip(*m))):
+        return None
+    return list(chain.from_iterable(row[i + 1:] for i, row in enumerate(m)))
+
+
 def _encode(rows: list, name: str, distance: bool) -> tuple:
-    """(struct code, little-endian bytes) of one section's rows.
+    """(struct code, scale, little-endian bytes) of one section's rows.
 
     Indices take the narrowest of B, H, I and Q that holds the largest.
     Distances take the narrowest unsigned int code when every value is
@@ -371,23 +410,64 @@ def _encode(rows: list, name: str, distance: bool) -> tuple:
     sign bit set, as eighths up to 256 and inf do; else f (f32) on the
     same terms, as larger eighths do; else d (f64), as tenths do. A
     section with an int that d would round too, such as 2**64 + 1, fits
-    no code and raises ValueError.
+    no code and raises ValueError. Only distances that are not all
+    integral get a scale s > 0: they are stored as the uints x * 2**s, at
+    the smallest s that makes each one integral, when every value is
+    finite and not negative and that int code is strictly narrower than
+    the float code; else at the float code with scale 0.
     """
-    if not distance:
-        return _pack_uint(rows)
-    ints = _uint_rows(rows)
+    ints = _uint_rows(rows) if distance else rows
     if ints is not None:
-        return _pack_uint(ints)
+        code, data = _pack_uint(ints)
+        return code, 0, data
     for code, width in (("e", 2), ("f", 4)):
         data = _pack_exact(rows, code)
         if data is not None and not data[width - 1::width].translate(
                 None, _SIGN_CLEAR):
-            return code, data
-    inexact = next(filterfalse(_f64_holds, chain.from_iterable(rows)), None)
-    if inexact is not None:
-        raise ValueError(f"no embedding file code holds {inexact} in the "
-                         f"{name} exactly")
-    return "d", _pack_rows(rows, "d")
+            break
+    else:
+        inexact = next(filterfalse(_f64_holds, chain.from_iterable(rows)), None)
+        if inexact is not None:
+            raise ValueError(f"no embedding file code holds {inexact} in the "
+                             f"{name} exactly")
+        code, width, data = "d", 8, _pack_rows(rows, "d")
+    return _fixed_point(rows, width, data) or (code, 0, data)
+
+
+# Last bytes of the e, f and d values that are finite, not negative and
+# below 2**7, 2**15 and 2**33: a section with any other value cannot fit
+# an int code narrower than its float code (B, H or I) at a scale s >= 1.
+# The d gate lets values in [2**31, 2**33) by; _fixed_point's scale test
+# refuses those.
+_FIXED_GATE = {2: bytes(range(0x58)), 4: bytes(range(0x47)),
+               8: bytes(range(0x42))}
+
+
+def _fixed_point(rows: list, width: int, data: bytes) -> "tuple | None":
+    """(int code, scale, bytes) of rows as the uints x * 2**scale, or None
+    unless that code is narrower than width, the float code's. data is
+    rows at that float code; its last bytes gate the search, so a section
+    with a large, infinite or negative value pays no pass per entry."""
+    if data[width - 1::width].translate(None, _FIXED_GATE[width]):
+        return None
+    values = list(chain.from_iterable(rows))
+    # The largest scale at which the largest value fits width / 2 bytes,
+    # and a scale byte: every value must be integral there. Not all values
+    # are integral (else they took an int code), so the scale is then 1 or
+    # more once cut by the trailing zero bits all the scaled values share.
+    scale = min(4 * width - math.frexp(max(values))[1], 255)
+    if scale < 1:
+        return None
+    scaled = list(map(mul, values, repeat(2.0 ** scale)))
+    if not all(map(float.is_integer, scaled)):
+        return None
+    ints = list(map(float.__trunc__, scaled))
+    common = reduce(or_, ints)
+    spare = (common & -common).bit_length() - 1
+    if spare:
+        ints = [n >> spare for n in ints]
+    code, data = _pack_uint([ints])
+    return code, scale - spare, data
 
 
 def _f64_holds(x) -> bool:
@@ -456,10 +536,13 @@ def _pack_rows(rows: list, code: str) -> bytearray:
 
 
 def load_embedding(stream: BinaryIO) -> Embedding:
-    """Inverse of save_embedding, for versions 1 and 2; validates magic,
-    version, kind and each section's code (an index section takes only
-    an int code). Version 1 has no code bytes: its codes are _layout's
-    default, so both versions share the size check and the reads.
+    """Inverse of save_embedding, for versions 1 to 3; validates magic,
+    version, kind, the matrix form and each section's code and scale (an
+    index section takes only an int code and scale 0, a section with a
+    scale only B, H or I). Version 1 has no code bytes and versions 1 and
+    2 no scale bytes: theirs are _layout's defaults, so all versions share
+    the size check and the reads. A v3 triangle comes back as k row lists
+    with an int 0 diagonal, as a v2 load of the same embedding does.
 
     On a seekable stream the counts in the header are checked against
     the bytes that follow before any payload is read; on any stream the
@@ -471,20 +554,27 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     infinite owner distance.
     """
     head = _read_exact(stream, 8, "header")
-    magic, version, kind = struct.unpack("<4sBB2x", head)
+    magic, version, kind, form = struct.unpack("<4sBBBx", head)
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    if version not in (1, _VERSION):
+    if version not in (1, 2, _VERSION):
         raise ValueError(f"unsupported embedding version {version}")
     if kind not in (_KIND_FULL, _KIND_DISTRIBUTED):
         raise ValueError(f"unknown embedding kind {kind}")
+    if version < _VERSION:
+        form = 0  # a pad byte before version 3
+    elif form not in (0, 1):
+        raise ValueError(f"unknown landmark matrix form {form}")
     nv, k = struct.unpack("<QQ", _read_exact(stream, 16, "header"))
-    codes = None
-    if version == _VERSION:
+    codes, scales = None, b""
+    if version > 1:
         count = len(_layout(kind, nv, k))
         codes = _read_exact(stream, count, "header").decode("latin-1")
-    layout = _layout(kind, nv, k, codes)
-    need = sum(struct.calcsize("<" + c) * per * rows for _, _, c, per, rows in layout)
+        if version == _VERSION:
+            scales = _read_exact(stream, count, "header")
+    layout = _layout(kind, nv, k, codes, scales, triangle=form == 1)
+    need = sum(struct.calcsize("<" + c) * per * rows
+               for _, _, c, _, per, rows in layout)
     left = _bytes_left(stream)
     if left is not None and need > left:
         raise ValueError(
@@ -496,11 +586,14 @@ def load_embedding(stream: BinaryIO) -> Embedding:
             f"embedding file has {left - need} bytes after the payload"
         )
     [ids], *blocks = [
-        _read_block(stream, name, code, per, rows)
-        for name, _, code, per, rows in layout
+        _read_block(stream, name, code, scale, per, rows)
+        for name, _, code, scale, per, rows in layout
     ]
     if left is None and stream.read(1):
         raise ValueError("embedding file has bytes after the payload")
+    if form == 1:
+        blocks[-1] = _mirror(blocks[-1][0], k)
+    # rows in order, so a triangle's first 0 shows as (i,j) with i < j
     for i, row in enumerate(blocks[-1]):
         if row[i] != 0:
             raise ValueError(f"embedding file has a nonzero diagonal entry "
@@ -526,16 +619,29 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     return DistributedEmbedding(L, owner, dist, lmatrix)
 
 
+def _mirror(upper: list, k: int) -> list:
+    """The symmetric k x k matrix whose entries above the diagonal are
+    upper, row-major, with an int 0 diagonal, as k independent row lists."""
+    rows = []
+    start = 0
+    for i in range(k):
+        end = start + k - 1 - i
+        rows.append([row[i] for row in rows] + [0] + upper[start:end])
+        start = end
+    return rows
+
+
 _SIGN_CLEAR = bytes(range(0x80))  # last bytes of float values with sign 0
 _BELOW_NAN = bytes(range(0x7C))  # last bytes of no f16, f32 or f64 NaN
 
 
-def _read_block(stream: BinaryIO, name: str, code: str, per: int,
+def _read_block(stream: BinaryIO, name: str, code: str, scale: int, per: int,
                 rows: int) -> list:
     """rows rows of per values of struct code. Int codes come back as
-    read. f16, f32 and f64 values are distances, so a NaN or a value with
-    its sign bit set (negative, or -0.0) fails, and they come back as ints
-    where integral."""
+    read, or at a scale s > 0 as distances n / 2**s: n >> s where that is
+    exact, a float otherwise. f16, f32 and f64 values are distances, so a
+    NaN or a value with its sign bit set (negative, or -0.0) fails, and
+    they come back as ints where integral."""
     width = struct.calcsize("<" + code)
     fmt = f"<{per}{code}"
     out = []
@@ -555,6 +661,9 @@ def _read_block(stream: BinaryIO, name: str, code: str, per: int,
                     f"embedding file has a NaN or negative value in the {name}"
                 )
             out.append([int(x) if x.is_integer() else x for x in values])
+        elif scale:
+            low, unit = (1 << scale) - 1, 1 << scale
+            out.append([n / unit if n & low else n >> scale for n in values])
         else:
             out.append(list(values))
     return out

@@ -199,15 +199,17 @@ def lemb_v1_bytes(e) -> bytes:
 
 def lemb_v2_bytes(e, codes: str) -> bytes:
     """The LEMB version 2 file of an embedding with the given struct code
-    per section, such as a writer without f16 codes wrote, which put
-    eighths at f (f32). Kept so that tests can pin that such files still
-    load."""
+    per section: a 24-byte header as in version 1, one code byte per
+    section, then the sections at those codes, the matrix in full. Such
+    files came from the writer before version 3, and, with eighths at f
+    (f32), from the one before the f16 code. Kept so that tests can pin
+    that such files still load."""
     return _lemb_file(e, 2, codes)
 
 
 def _lemb_file(e, version: int, codes: str) -> bytes:
     """Header, in version 2 one code byte per section, then the sections
-    at codes."""
+    at codes; an int code takes integral floats such as 3.0 as ints."""
     ids = [e.landmarks.ids]
     if hasattr(e, "table"):
         kind, nv = 1, len(e.table[0])
@@ -219,5 +221,7 @@ def _lemb_file(e, version: int, codes: str) -> bytes:
     if version == 2:
         out.append(codes.encode("ascii"))
     for code, rows in zip(codes, sections):
+        if code in "BHIQ":
+            rows = [list(map(int, row)) for row in rows]
         out += [struct.pack(f"<{len(row)}{code}", *row) for row in rows]
     return b"".join(out)

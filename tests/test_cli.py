@@ -90,10 +90,11 @@ class TestPreprocess:
                            "--method", "alp", "--strategy", "farthest",
                            "--landmarks", "2", "--out", str(emb))
         assert code == 0
-        # header 24 bytes, 4 code bytes, then 2 ids, 6 owners, 6 owner
-        # distances and the 2 x 2 matrix, one byte each on unit weights
-        assert emb.stat().st_size == 46
-        assert out.splitlines()[1:] == ["entries: 10 bytes: 46",
+        # header 24 bytes, 4 code and 4 scale bytes, then 2 ids, 6 owners,
+        # 6 owner distances and the one matrix entry above the diagonal,
+        # one byte each on unit weights
+        assert emb.stat().st_size == 47
+        assert out.splitlines()[1:] == ["entries: 10 bytes: 47",
                                         f"wrote {emb}"]
         code, out, _ = run(capsys, "query", "--graph", p6_file,
                            "--method", "alp", "--embedding", str(emb),
@@ -152,10 +153,10 @@ class TestPreprocess:
         run(capsys, "preprocess", "--graph", p6_file, "--method", "alp",
             "--landmarks", "2", "--out", str(emb))
         data = bytearray(emb.read_bytes())
-        # header 24 bytes, 4 code bytes, two u8 landmark ids, then one u8
-        # owner per vertex
+        # header 24 bytes, 4 code and 4 scale bytes, two u8 landmark ids,
+        # then one u8 owner per vertex
         assert data[24:28] == b"BBBB"
-        data[31] = 7
+        data[35] = 7
         emb.write_bytes(bytes(data))
         code, out, err = run(capsys, "query", "--graph", p6_file,
                              "--method", "alp", "--embedding", str(emb),

@@ -8,6 +8,7 @@ import os
 import random
 import re
 import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,6 +283,35 @@ def pipe_of(data: bytes):
     os.write(w, data)
     os.close(w)
     return os.fdopen(r, "rb")
+
+
+def assert_trailing_bytes_fail(data: bytes) -> None:
+    """A file with 7 bytes appended fails to load, from a seekable stream
+    and from one that cannot seek."""
+    with pytest.raises(ValueError, match="^embedding file has 7 bytes "
+                       "after the payload$"):
+        load_embedding(io.BytesIO(data + b"garbage"))
+    with pytest.raises(ValueError, match="^embedding file has bytes "
+                       "after the payload$"):
+        load_embedding(Trickle(data + b"garbage"))
+
+
+def assert_cuts_labelled(data: bytes, header: int) -> None:
+    """Every proper prefix of a file fails to load, labelled by where it
+    ends: inside the first header bytes, code and scale bytes included,
+    'truncated in header'; inside the payload the size check's message on
+    a seekable stream and 'truncated in payload' on a pipe."""
+    for cut in range(len(data)):
+        if cut < header:
+            seekable = piped = "^embedding file truncated in header$"
+        else:
+            seekable = "^embedding file truncated: header declares "
+            piped = "^embedding file truncated in payload$"
+        with pytest.raises(ValueError, match=seekable):
+            load_embedding(io.BytesIO(data[:cut]))
+        with pipe_of(data[:cut]) as pipe, pytest.raises(ValueError,
+                                                        match=piped):
+            load_embedding(pipe)
 
 
 MATRIX_GRAPHS = {
@@ -641,17 +671,19 @@ class TestSerialization:
             with pytest.raises(ValueError, match="truncated in payload"):
                 load_embedding(stream)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_cut_in_header_counts(self, p6, version):
         e = build_distributed_embedding(p6, LandmarkSet((0, 5)))
-        data = oracles.lemb_v1_bytes(e) if version == 1 else lemb_bytes(e)
+        data = {1: oracles.lemb_v1_bytes(e),
+                2: oracles.lemb_v2_bytes(e, "BBBB"),
+                3: lemb_bytes(e)}[version]
         for cut in range(8, 24):
             for stream in (io.BytesIO(data[:cut]), pipe_of(data[:cut])):
                 with stream, pytest.raises(
                         ValueError, match="^embedding file truncated in header$"):
                     load_embedding(stream)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_unknown_kind_fails_before_counts(self, version):
         head = struct.pack("<4sBB2x", b"LEMB", version, 9)
         with pytest.raises(ValueError, match="^unknown embedding kind 9$"):
@@ -841,13 +873,7 @@ class TestLembLayout:
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_every_truncation_fails(self, which):
-        data = oracles.lemb_v1_bytes(self.golden()[which])
-        for cut in range(len(data)):
-            with pytest.raises(ValueError, match="truncated"):
-                load_embedding(io.BytesIO(data[:cut]))
-            with pipe_of(data[:cut]) as pipe:
-                with pytest.raises(ValueError, match="truncated"):
-                    load_embedding(pipe)
+        assert_cuts_labelled(oracles.lemb_v1_bytes(self.golden()[which]), 24)
 
 
 def v2_header(kind, nv, k, codes):
@@ -855,7 +881,8 @@ def v2_header(kind, nv, k, codes):
 
 
 def narrowest_code(values, distance):
-    """The code version 2 must give one section, decided value by value."""
+    """The code version 2 must give one section, decided value by value;
+    version 3 keeps it as the section's float code."""
     def uint(x):
         return (math.isfinite(x) and x == int(x) and 0 <= x < 2**64
                 and math.copysign(1, x) > 0)
@@ -875,6 +902,24 @@ def narrowest_code(values, distance):
                  if all(holds("<" + code, x) for x in values)), "d")
 
 
+def fixed_point_code(values, float_code):
+    """(code, scale) version 3 must give a distance section whose version 2
+    code is float_code, or None: each value a finite binary fraction, not
+    negative, stored as x * 2**s at the smallest s, at an int code strictly
+    narrower than float_code."""
+    if float_code in "BHIQ" or not all(
+            math.isfinite(x) and math.copysign(1, x) > 0 for x in values):
+        return None
+    exact = [Fraction(x) for x in values]
+    scale = max(f.denominator for f in exact).bit_length() - 1
+    top = max(exact) * 2**scale
+    code = next((c for c, bits in zip("BHI", (8, 16, 32)) if top < 2**bits),
+                "Q")
+    if scale > 255 or struct.calcsize(code) >= struct.calcsize(float_code):
+        return None
+    return code, scale
+
+
 # The values of one distance section come from a drawn subset of these,
 # so sections of ints alone, of integral floats alone, and mixes occur.
 SECTION_VALUES = (
@@ -888,12 +933,23 @@ SECTION_VALUES = (
     st.just(math.inf),
 )
 
+# The entries of a drawn symmetric landmark matrix, one kind per matrix.
+SYMMETRIC_VALUES = (
+    st.integers(1, 2**20),
+    st.integers(1, 2**20).filter(lambda n: n % 8).map(lambda n: n / 8),
+    st.integers(1, 10**6).filter(lambda n: n % 10).map(lambda n: n / 10),
+    st.integers(1, 2**10).map(lambda n: n / 8) | st.just(math.inf),
+)
+
 
 @st.composite
 def mixed_embeddings(draw):
     """Embeddings whose sections mix ints, integral floats such as 3.0,
     eighths, tenths, f16 values, values just past f16 and inf, within the
-    values a load accepts."""
+    values a load accepts. The landmark matrix is drawn either entry by
+    entry, as a directed graph's may be, or symmetric with entries of one
+    kind (ints, eighths, tenths, or eighths and inf), an int x mirrored as
+    x or as float(x)."""
     def section_values(finite=False):
         picks = draw(st.sets(st.integers(0, len(SECTION_VALUES) - 1),
                              min_size=1))
@@ -904,9 +960,21 @@ def mixed_embeddings(draw):
                         unique=True))
     k, nv = len(ids), draw(st.integers(1, 6))
     L = LandmarkSet(tuple(ids))
-    off = section_values().filter(bool)
-    lmatrix = [[draw(st.sampled_from([0, 0.0])) if i == j else draw(off)
+    lmatrix = [[draw(st.sampled_from([0, 0.0])) if i == j else None
                 for j in range(k)] for i in range(k)]
+    if draw(st.booleans()):
+        off = draw(st.sampled_from(SYMMETRIC_VALUES))
+        for i in range(k):
+            for j in range(i + 1, k):
+                x = lmatrix[i][j] = draw(off)
+                lmatrix[j][i] = (float(x) if type(x) is int and draw(
+                    st.booleans()) else x)
+    else:
+        off = section_values().filter(bool)
+        for i in range(k):
+            for j in range(k):
+                if i != j:
+                    lmatrix[i][j] = draw(off)
     if draw(st.booleans()):
         values = section_values()
         table = [draw(st.lists(values, min_size=nv, max_size=nv))
@@ -929,9 +997,51 @@ def sections(e):
             ([x for row in e.lmatrix for x in row], True)]
 
 
+def triangular(m) -> bool:
+    """Whether version 3 must store m as its entries above the diagonal:
+    exactly symmetric, with a diagonal of 0 and not -0.0."""
+    k = len(m)
+    return all(m[i][j] == m[j][i] for i in range(k) for j in range(k)) and all(
+        m[i][i] == 0 and math.copysign(1, m[i][i]) > 0 for i in range(k))
+
+
+def v3_sections(e):
+    """sections(e) as version 3 stores them: the landmark matrix as its
+    entries above the diagonal, row-major, where triangular."""
+    out = sections(e)
+    m = e.lmatrix
+    if triangular(m):
+        out[-1] = ([m[i][j] for i in range(len(m)) for j in range(i + 1, len(m))],
+                   True)
+    return out
+
+
+def v3_codes(e) -> tuple:
+    """(matrix form byte, code bytes, scale bytes) version 3 must write."""
+    codes, scales = "", []
+    for values, distance in v3_sections(e):
+        code = narrowest_code(values, distance)
+        code, scale = (distance and fixed_point_code(values, code)) or (code, 0)
+        codes += code
+        scales.append(scale)
+    return int(triangular(e.lmatrix)), codes.encode(), bytes(scales)
+
+
+def header_codes(data: bytes, count: int) -> tuple:
+    """(matrix form byte, code bytes, scale bytes) of a version 3 file with
+    count sections."""
+    return data[6], data[24:24 + count], data[24 + count:24 + 2 * count]
+
+
+# The codes the version 2 writer gave TestLembV2.golden()'s embeddings.
+GOLDEN_V2_CODES = ("Bee", "BBee", "IBQd", "HHB")
+
+
 class TestLembV2:
-    """What save_embedding writes: version 2, each section at the
-    narrowest code that holds its values exactly."""
+    """The code rule of version 2, which version 3 keeps for each section
+    that takes no fixed-point code, and the version 2 files load_embedding
+    must keep reading. files() and previous() come from the version 2
+    writer in oracles, so the offsets below are version 2's."""
 
     def golden(self):
         alt, alp = TestLembLayout().golden()
@@ -942,6 +1052,11 @@ class TestLembV2:
         narrow = AltEmbedding(LandmarkSet((300,)), [[0, 300, 7.0]], [[0]])
         return alt, alp, wide, narrow
 
+    def files(self):
+        """The golden embeddings as the version 2 writer wrote them."""
+        return [oracles.lemb_v2_bytes(e, codes)
+                for e, codes in zip(self.golden(), GOLDEN_V2_CODES)]
+
     def previous(self):
         """The golden full and distributed files as a writer without f16
         codes wrote them, with the eighths at f (f32)."""
@@ -950,7 +1065,8 @@ class TestLembV2:
                 oracles.lemb_v2_bytes(alp, "BBff"))
 
     def test_golden_bytes(self):
-        got = [lemb_bytes(e) for e in self.golden()]
+        # the bytes save_embedding wrote up to version 2, pinned as files
+        got = self.files()
         assert [(len(d), d[24:28], hashlib.sha256(d).hexdigest())
                 for d in got] == [
             (57, b"Bee\x00",
@@ -962,16 +1078,19 @@ class TestLembV2:
             (36, b"HHB,",
              "1f459e9eb323635fa3b5619dc06e0ea723127ad97d72c7a08f02557853c9da43"),
         ]
+        assert list(GOLDEN_V2_CODES) == [
+            "".join(narrowest_code(values, distance)
+                    for values, distance in sections(e))
+            for e in self.golden()]
 
     def test_golden_values(self):
-        for e in self.golden():
-            data = lemb_bytes(e)
-            back = load_embedding(io.BytesIO(data))
+        for e, old in zip(self.golden(), self.files()):
+            back = load_embedding(io.BytesIO(old))
             v1 = load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e)))
             assert back == e
             assert stored_fields(back) == stored_fields(v1)
-            assert lemb_bytes(back) == data
-        assert load_embedding(io.BytesIO(lemb_bytes(self.golden()[3]))).table \
+            assert lemb_bytes(back) == lemb_bytes(e)
+        assert load_embedding(io.BytesIO(self.files()[3])).table \
             == [[0, 300, 7]]
 
     def test_previous_writer_files_load(self):
@@ -990,16 +1109,14 @@ class TestLembV2:
     @settings(deadline=None, max_examples=200)
     @given(mixed_embeddings())
     def test_codes_follow_values(self, e):
-        data = lemb_bytes(e)
-        back = load_embedding(io.BytesIO(data))
+        # the file the version 2 writer wrote: each section at narrowest_code
+        codes = "".join(narrowest_code(values, distance)
+                        for values, distance in sections(e))
+        back = load_embedding(io.BytesIO(oracles.lemb_v2_bytes(e, codes)))
         v1 = load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e)))
         assert back == e
         assert stored_fields(back) == stored_fields(v1)
-        assert lemb_bytes(back) == data
-        assert lemb_bytes(v1) == data
-        codes = data[24:24 + len(sections(e))].decode()
-        assert codes == "".join(narrowest_code(values, distance)
-                                for values, distance in sections(e))
+        assert lemb_bytes(back) == lemb_bytes(e)
 
     @pytest.mark.parametrize("build", [build_alt_embedding,
                                        build_distributed_embedding])
@@ -1016,14 +1133,22 @@ class TestLembV2:
     @pytest.mark.parametrize("build", [build_alt_embedding,
                                        build_distributed_embedding])
     def test_built_eighths_past_2048_stay_f(self, build):
-        # f16 holds no odd eighth above 256 and no fraction above 1,024
+        # f16 holds no odd eighth above 256 and no fraction above 1,024, so
+        # each distance section's version 2 code is f; version 3 writes the
+        # eighths as u16 at scale 3 instead, narrower than f
         g = reweighted(generate_grid(10, 10), lambda rng: 300 + eighths(rng), 1)
         e = build(g, select_farthest(g, 4, 1))
+        codes = "".join(narrowest_code(values, distance)
+                        for values, distance in sections(e))
+        assert codes[-2:] == "ff" and "e" not in codes
         data = lemb_bytes(e)
-        assert b"f" in data[24:28] and b"e" not in data[24:28]
-        back = load_embedding(io.BytesIO(data))
-        assert back == e
-        assert lemb_bytes(back) == data
+        n = len(codes)
+        assert header_codes(data, n)[1:] == (
+            codes[:-2].encode() + b"HH", bytes(n - 2) + b"\x03\x03")
+        for saved in (data, oracles.lemb_v2_bytes(e, codes)):
+            back = load_embedding(io.BytesIO(saved))
+            assert back == e
+            assert lemb_bytes(back) == data
 
     @pytest.mark.parametrize("top, code", [
         (255, "B"), (255.0, "B"), (256, "H"), (2**16 - 1, "H"), (2**16, "I"),
@@ -1035,14 +1160,20 @@ class TestLembV2:
         (2.0**-150 * 3, "d"), (2.0**128, "d"), (2**128 + 2**76, "d"),
     ])
     def test_distance_code_boundaries(self, top, code):
+        # code is the version 2 code; version 3 writes it unless a
+        # fixed-point code is narrower (TestLembV3 pins those by value)
         e = AltEmbedding(LandmarkSet((0, 1)), [[0, top], [top, 0]],
                          [[0, 1], [1, 0]])
+        assert narrowest_code([0, top], True) == code
+        code3, scale = fixed_point_code([0, top], code) or (code, 0)
         data = lemb_bytes(e)
-        assert data[24:27] == f"B{code}B".encode()
-        back = load_embedding(io.BytesIO(data))
+        assert header_codes(data, 3) == (1, f"B{code3}B".encode(),
+                                         bytes([0, scale, 0]))
         v1 = load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e)))
-        assert stored_fields(back) == stored_fields(v1)
-        assert lemb_bytes(back) == data
+        for saved in (data, oracles.lemb_v2_bytes(e, f"B{code}B")):
+            back = load_embedding(io.BytesIO(saved))
+            assert stored_fields(back) == stored_fields(v1)
+            assert lemb_bytes(back) == data
 
     @pytest.mark.parametrize("other, code", [(0.5, "e"), (2047.5, "f"),
                                              (0.1, "d")])
@@ -1151,7 +1282,7 @@ class TestLembV2:
     ])
     def test_nan_or_negative_in_e_section_fails(self, which, name, start,
                                                 count, bits):
-        data = lemb_bytes(self.golden()[which])
+        data = self.files()[which]
         for at in (start, start + 2 * (count - 1)):
             corrupt = data[:at] + struct.pack("<H", bits) + data[at + 2:]
             with pytest.raises(
@@ -1166,7 +1297,7 @@ class TestLembV2:
         (0, 49, 2.5, "a nonzero diagonal entry of the landmark matrix, at (0,0)"),
     ])
     def test_matrix_refusals_in_e_section(self, which, at, value, refusal):
-        data = lemb_bytes(self.golden()[which])
+        data = self.files()[which]
         corrupt = data[:at] + struct.pack("<e", value) + data[at + 2:]
         with pytest.raises(ValueError, match=re.escape(
                 f"embedding file has {refusal}")):
@@ -1174,14 +1305,14 @@ class TestLembV2:
 
     @pytest.mark.parametrize("v", range(6))
     def test_infinite_distance_in_e_section(self, v):
-        data = lemb_bytes(self.golden()[1])
+        data = self.files()[1]
         at = 36 + 2 * v
         corrupt = data[:at] + struct.pack("<H", 0x7C00) + data[at + 2:]
         with pytest.raises(ValueError, match=f"^vertex {v} has an infinite "
                            "owner distance$"):
             load_embedding(io.BytesIO(corrupt))
         # the full table holds inf where a vertex is unreachable
-        full = lemb_bytes(self.golden()[0])
+        full = self.files()[0]
         at = 29 + 2 * v
         back = load_embedding(io.BytesIO(
             full[:at] + struct.pack("<H", 0x7C00) + full[at + 2:]))
@@ -1189,7 +1320,7 @@ class TestLembV2:
 
     @pytest.mark.parametrize("v", range(6))
     def test_owner_beyond_landmarks_in_b_section(self, v):
-        data = bytearray(lemb_bytes(self.golden()[1]))
+        data = bytearray(self.files()[1])
         assert data[25:26] == b"B"
         data[30 + v] = 7
         with pytest.raises(ValueError, match=f"^vertex {v} has owner index 7, "
@@ -1205,7 +1336,7 @@ class TestLembV2:
         (0, 25, "distance table", b"q"),
     ])
     def test_bad_code_fails(self, which, at, name, code):
-        data = lemb_bytes(self.golden()[which])
+        data = self.files()[which]
         corrupt = data[:at] + code + data[at + 1:]
         with pytest.raises(ValueError, match=re.escape(
                 f"embedding file has code {code.decode()!r} for the {name}, "
@@ -1221,23 +1352,221 @@ class TestLembV2:
 
     @pytest.mark.parametrize("which", range(4))
     def test_bytes_after_payload_fail(self, which):
-        data = lemb_bytes(self.golden()[which])
-        with pytest.raises(ValueError, match="^embedding file has 7 bytes "
-                           "after the payload$"):
-            load_embedding(io.BytesIO(data + b"garbage"))
-        with pytest.raises(ValueError, match="^embedding file has bytes "
-                           "after the payload$"):
-            load_embedding(Trickle(data + b"garbage"))
+        assert_trailing_bytes_fail(self.files()[which])
 
     @pytest.mark.parametrize("which", range(4))
     def test_every_truncation_fails(self, which):
+        codes = GOLDEN_V2_CODES[which]
+        assert_cuts_labelled(self.files()[which], 24 + len(codes))
+
+
+class TestLembV3:
+    """What save_embedding writes: version 3, the landmark matrix as its
+    triangle above the diagonal where exactly symmetric with a 0 diagonal,
+    and each section at the narrowest code that holds its values exactly,
+    fixed-point codes with a scale byte included."""
+
+    def golden(self):
+        # alt: triangle [inf] at e; alp: owner distances and triangle in
+        # eighths at B, scale 3; wide: triangle [0.1] at d; narrow: an
+        # empty triangle
+        alt, alp, wide, narrow = TestLembV2().golden()
+        # a matrix no undirected graph gives: full, in halves at B, scale 1
+        skew = DistributedEmbedding(LandmarkSet((1, 0)), [1, 0, 0],
+                                    [0, 0, 0.25], [[0, 1.5], [2.5, 0]])
+        # a 4 x 4 int matrix: a triangle of six entries at B
+        quad = AltEmbedding(LandmarkSet((0, 1, 2, 3)),
+                            [[abs(i - j) for j in range(4)] for i in range(4)],
+                            [[abs(i - j) for j in range(4)] for i in range(4)])
+        return alt, alp, wide, narrow, skew, quad
+
+    def test_golden_bytes(self):
+        got = [lemb_bytes(e) for e in self.golden()]
+        assert [(len(d), header_codes(d, len(sections(e))),
+                 hashlib.sha256(d).hexdigest())
+                for e, d in zip(self.golden(), got)] == [
+            (54, (1, b"Bee", b"\x00\x00\x00"),
+             "47ceea2c088002012bdad452e300c2b826967add26b3715b51d9a235ca844a28"),
+            (47, (1, b"BBBB", b"\x00\x00\x03\x03"),
+             "eff9c00a9fe95b978aec822a33377c2c02c0623372fb7153940ebcd2d4c98827"),
+            (75, (1, b"IBQd", b"\x00\x00\x00\x00"),
+             "a15c0d03e3302633394711529ba2b8bb8c81c6ab5a44c91fcacc797c2bb0c6ad"),
+            (38, (1, b"HHB", b"\x00\x00\x00"),
+             "12b5a4b61dcf1630b53d31340a5ef5c4a2b767ab2f8d987f294a3c694c4ea46b"),
+            (44, (0, b"BBBB", b"\x00\x00\x02\x01"),
+             "230c9b23438aa073459b48db157dd467c4c322e2ce68132b8feca598c68f05eb"),
+            (56, (1, b"BBB", b"\x00\x00\x00"),
+             "92ce01aa7b4deac497603b1fcdb482dad3e87c5740d9a0c5f40b2fad5a078074"),
+        ]
+
+    def test_golden_values(self):
+        # a version 1, 2 and 3 file of one embedding load to repr-identical
+        # values, and each re-saves as the version 3 file
+        for e in self.golden():
+            data = lemb_bytes(e)
+            codes = "".join(narrowest_code(values, distance)
+                            for values, distance in sections(e))
+            loads = [load_embedding(io.BytesIO(saved)) for saved in (
+                oracles.lemb_v1_bytes(e), oracles.lemb_v2_bytes(e, codes), data)]
+            assert loads[-1] == e
+            assert len({stored_fields(back) for back in loads}) == 1
+            assert {lemb_bytes(back) for back in loads} == {data}
+            assert header_codes(data, len(codes)) == v3_codes(e)
+
+    def test_triangle_loads_as_independent_rows(self):
+        back = load_embedding(io.BytesIO(lemb_bytes(self.golden()[5])))
+        assert back.lmatrix == [[abs(i - j) for j in range(4)]
+                                for i in range(4)]
+        assert all(type(row[i]) is int for i, row in enumerate(back.lmatrix))
+        back.lmatrix[0][1] = 9
+        assert back.lmatrix[1][0] == 1
+
+    @settings(deadline=None, max_examples=200)
+    @given(mixed_embeddings())
+    def test_rules_follow_values(self, e):
+        data = lemb_bytes(e)
+        back = load_embedding(io.BytesIO(data))
+        v1 = load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e)))
+        assert back == e
+        assert stored_fields(back) == stored_fields(v1)
+        assert lemb_bytes(back) == data
+        assert lemb_bytes(v1) == data
+        # the triangle iff exactly symmetric with a 0 diagonal, and a
+        # fixed-point code iff strictly narrower than the float code
+        assert header_codes(data, len(sections(e))) == v3_codes(e)
+
+    @pytest.mark.parametrize("top, code, scale", [
+        (0.5, "B", 1), (0.25, "B", 2), (0.125, "B", 3), (31.875, "B", 3),
+        (127.5, "B", 1), (128.5, "e", 0), (1023.5, "e", 0), (2047.5, "H", 1),
+        (16383.75, "H", 2), (16384.25, "f", 0), (32767.5, "H", 1),
+        (65504.5, "f", 0), (2.0**-24, "B", 24), (2.0**-25, "B", 25),
+        (2.0**-149, "B", 149), (2.0**-150 * 3, "B", 150),
+        (2.0**-255, "B", 255), (2.0**-256, "d", 0), (2.0**31 - 0.5, "I", 1),
+        (2.0**32 - 0.5, "d", 0), (0.1, "d", 0),
+    ])
+    def test_fixed_point_boundaries(self, top, code, scale):
+        e = AltEmbedding(LandmarkSet((0, 1)), [[0, top], [top, 0]],
+                         [[0, 1], [1, 0]])
+        data = lemb_bytes(e)
+        assert header_codes(data, 3) == (1, f"B{code}B".encode(),
+                                         bytes([0, scale, 0]))
+        back = load_embedding(io.BytesIO(data))
+        assert stored_fields(back) == stored_fields(e)
+        assert lemb_bytes(back) == data
+
+    @pytest.mark.parametrize("graph, form", [
+        ("int-random", 1), ("eighths-grid", 1), ("tenths-grid", 0),
+    ])
+    @pytest.mark.parametrize("build", [build_alt_embedding,
+                                       build_distributed_embedding])
+    def test_built_matrix_form(self, graph, form, build):
+        # decimal weights: the two summation orders of an entry differ by
+        # an ulp somewhere, so the matrix stays in full
+        g = MATRIX_GRAPHS[graph]()
+        e = build(g, select_farthest(g, 4, 1))
+        data = lemb_bytes(e)
+        assert data[6] == form == triangular(e.lmatrix)
+        back = load_embedding(io.BytesIO(data))
+        assert stored_fields(back) == stored_fields(
+            load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e))))
+
+    @pytest.mark.parametrize("lmatrix, form", [
+        ([[0, 3], [3.0, 0]], 1),
+        ([[0.0, 3], [3, 0.0]], 1),
+        ([[-0.0, 3], [3, 0]], 0),
+        ([[0, 3], [3, 2]], 0),
+        ([[0, 3], [3.5, 0]], 0),
+    ], ids=["int-and-float", "float-diagonal", "negative-zero-diagonal",
+            "nonzero-diagonal", "asymmetric"])
+    def test_matrix_form_follows_values(self, lmatrix, form):
+        e = AltEmbedding(LandmarkSet((0, 1)), [[0, 3], [3, 0]], lmatrix)
+        assert lemb_bytes(e)[6] == form
+
+    @pytest.mark.parametrize("form", [2, 255])
+    def test_unknown_matrix_form_fails(self, form):
+        data = bytearray(lemb_bytes(self.golden()[0]))
+        data[6] = form
+        for stream in (io.BytesIO(bytes(data)), io.BytesIO(bytes(data[:8]))):
+            with pytest.raises(ValueError, match=f"^unknown landmark matrix "
+                               f"form {form}$"):
+                load_embedding(stream)
+
+    # scale bytes follow the code bytes: at 27 (full) and 28 (distributed)
+    @pytest.mark.parametrize("which, at, name", [
+        (0, 27, "landmark ids"), (1, 28, "landmark ids"),
+        (1, 29, "owner indices"),
+    ])
+    def test_scale_on_index_section_fails(self, which, at, name):
+        data = bytearray(lemb_bytes(self.golden()[which]))
+        data[at] = 3
+        with pytest.raises(ValueError, match=f"^embedding file has scale 3 "
+                           f"for the {name}, which holds indices$"):
+            load_embedding(io.BytesIO(bytes(data)))
+
+    # the owner distances of the golden distributed file: code byte 26,
+    # scale byte 30 (3); Q is as wide as f64, and a float code takes no scale
+    @pytest.mark.parametrize("code", ["Q", "e", "f", "d"])
+    def test_scale_needs_a_code_narrower_than_f64(self, code):
+        data = bytearray(lemb_bytes(self.golden()[1]))
+        assert (data[26:27], data[30]) == (b"B", 3)
+        data[26:27] = code.encode()
+        with pytest.raises(ValueError, match=re.escape(
+                f"embedding file has code {code!r} at scale 3 for the owner "
+                "distances, expected one of 'BHI'")):
+            load_embedding(io.BytesIO(bytes(data)))
+
+    # the float triangles of the golden files: alt's [inf] at e (offset 52),
+    # wide's [0.1] at d (offset 67)
+    @pytest.mark.parametrize("which, at, bad", [
+        (0, 52, struct.pack("<e", math.nan)), (0, 52, struct.pack("<e", -1.0)),
+        (0, 52, struct.pack("<H", 0x8000)), (0, 52, struct.pack("<H", 0xFC00)),
+        (2, 67, struct.pack("<d", math.nan)), (2, 67, struct.pack("<d", -0.0)),
+        (2, 67, struct.pack("<d", -0.1)),
+    ], ids=["e-nan", "e-negative", "e-negative-zero", "e-negative-inf",
+            "d-nan", "d-negative-zero", "d-negative"])
+    def test_nan_or_negative_in_triangle_fails(self, which, at, bad):
         data = lemb_bytes(self.golden()[which])
-        for cut in range(len(data)):
-            with pytest.raises(ValueError, match="truncated"):
-                load_embedding(io.BytesIO(data[:cut]))
-            with pipe_of(data[:cut]) as pipe:
-                with pytest.raises(ValueError, match="truncated"):
-                    load_embedding(pipe)
+        assert len(data) == at + len(bad)
+        with pytest.raises(ValueError, match="^embedding file has a NaN or "
+                           "negative value in the landmark matrix$"):
+            load_embedding(io.BytesIO(data[:at] + bad))
+
+    # quad's triangle: six u8 entries from byte 50, (0,1) (0,2) (0,3) (1,2)
+    # (1,3) (2,3)
+    @pytest.mark.parametrize("p, entry", enumerate(
+        ["(0,1)", "(0,2)", "(0,3)", "(1,2)", "(1,3)", "(2,3)"]))
+    def test_zero_in_triangle_fails(self, p, entry):
+        data = bytearray(lemb_bytes(self.golden()[5]))
+        assert data[50:56] == bytes([1, 2, 3, 1, 2, 1])
+        data[50 + p] = 0
+        with pytest.raises(ValueError, match=re.escape(
+                "embedding file has a 0 off the diagonal of the landmark "
+                f"matrix, at {entry}")):
+            load_embedding(io.BytesIO(bytes(data)))
+
+    # skew's full matrix at B, scale 1, from byte 40: (0,0) (0,1) (1,0) (1,1)
+    @pytest.mark.parametrize("at, value, refusal", [
+        (41, 0, "a 0 off the diagonal of the landmark matrix, at (0,1)"),
+        (42, 0, "a 0 off the diagonal of the landmark matrix, at (1,0)"),
+        (40, 1, "a nonzero diagonal entry of the landmark matrix, at (0,0)"),
+        (43, 4, "a nonzero diagonal entry of the landmark matrix, at (1,1)"),
+    ])
+    def test_full_matrix_refusals(self, at, value, refusal):
+        data = bytearray(lemb_bytes(self.golden()[4]))
+        assert data[40:44] == bytes([0, 3, 5, 0])
+        data[at] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"embedding file has {refusal}")):
+            load_embedding(io.BytesIO(bytes(data)))
+
+    @pytest.mark.parametrize("which", range(6))
+    def test_bytes_after_payload_fail(self, which):
+        assert_trailing_bytes_fail(lemb_bytes(self.golden()[which]))
+
+    @pytest.mark.parametrize("which", range(6))
+    def test_every_truncation_fails(self, which):
+        e = self.golden()[which]
+        assert_cuts_labelled(lemb_bytes(e), 24 + 2 * len(sections(e)))
 
 
 class TestEmbeddingFits:

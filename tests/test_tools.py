@@ -2,8 +2,10 @@
 
 import ast
 import importlib.util
+import io
 import json
 import pathlib
+import sys
 import types
 from collections import Counter
 from dataclasses import astuple, dataclass, field, fields, is_dataclass
@@ -15,15 +17,19 @@ from polyroute.heuristics import _ALP_PRICES, MODES
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+def _load_module(folder, name):
+    """folder/name.py as module folder_name; registered in sys.modules, as
+    the dataclasses it defines need."""
+    spec = importlib.util.spec_from_file_location(f"{folder}_{name}",
+                                                  ROOT / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_make_witnesses_reproduces_fixture():
-    tool = _load_tool("make_witnesses")
+    tool = _load_module("tools", "make_witnesses")
     fixture = ROOT / "tests" / "fixtures" / "theorem_witnesses.json"
     assert tool.find_witnesses() == json.loads(fixture.read_text())
 
@@ -48,6 +54,42 @@ def test_readme_price_table_matches_alp_prices():
     assert len(rows) == len(want)
     assert dict(rows) == want
     assert {mode for (_, mode), _ in rows} == set(MODES)
+
+
+def readme_lemb_sizes() -> dict:
+    """benchmark input -> (k, ALT file bytes, ALP file bytes), from the
+    rows of README's LEMB size table."""
+    sizes = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        cells = [c.strip() for c in line.strip("| ").split("|")]
+        name = cells[0].split(":")[0].strip("`")
+        if name in ("grid", "road") and len(cells) == 4:
+            sizes[name] = tuple(int(c.replace(",", "")) for c in cells[1:])
+    return sizes
+
+
+def test_readme_lemb_sizes_match_save_embedding():
+    inputs = _load_module("perfbench", "inputs")
+    landmark_seed = inputs.rng_for("road", 1, "landmarks").randrange(2**32)
+    graphs = {
+        "grid": polyroute.build_graph(2500, inputs.grid_input(50).edges),
+        "road": polyroute.load_dimacs(inputs.make_input("road", 1).dimacs),
+    }
+    want = {}
+    for name, k in (("grid", 16), ("road", 64)):
+        g = graphs[name]
+        L = polyroute.select_farthest(g, k, landmark_seed)
+        want[name] = (k, *(
+            len(_lemb(build(g, L)))
+            for build in (polyroute.build_alt_embedding,
+                          polyroute.build_distributed_embedding)))
+    assert readme_lemb_sizes() == want
+
+
+def _lemb(e) -> bytes:
+    buf = io.BytesIO()
+    polyroute.save_embedding(e, buf)
+    return buf.getvalue()
 
 
 def _annotation_names(node) -> set:
