@@ -19,7 +19,6 @@ from .graph import (
 from .sssp import (
     DistanceMap,
     KernelCounters,
-    landmark_matrix,
     multi_source_spt,
     shortest_path_tree,
     track_kernels,
@@ -70,8 +69,8 @@ __all__ = [
     "Graph", "GraphError", "build_graph", "generate_grid",
     "generate_random_connected", "load_dimacs", "load_edge_list",
     "save_dimacs", "save_edge_list",
-    "DistanceMap", "KernelCounters", "landmark_matrix",
-    "multi_source_spt", "shortest_path_tree", "track_kernels", "truncated_spt",
+    "DistanceMap", "KernelCounters", "multi_source_spt",
+    "shortest_path_tree", "track_kernels", "truncated_spt",
     "AltEmbedding", "DistributedEmbedding", "LandmarkSet",
     "build_alt_embedding", "build_distributed_embedding",
     "check_embedding_fits", "load_embedding", "save_embedding",

@@ -541,8 +541,9 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     index section takes only an int code and scale 0, a section with a
     scale only B, H or I). Version 1 has no code bytes and versions 1 and
     2 no scale bytes: theirs are _layout's defaults, so all versions share
-    the size check and the reads. A v3 triangle comes back as k row lists
-    with an int 0 diagonal, as a v2 load of the same embedding does.
+    the size check and the reads. Each section's values take the type its
+    code sets (see _read_block); a v3 triangle comes back as k row lists
+    with an int 0 diagonal, as every build makes it.
 
     On a seekable stream the counts in the header are checked against
     the bytes that follow before any payload is read; on any stream the
@@ -621,7 +622,8 @@ def load_embedding(stream: BinaryIO) -> Embedding:
 
 def _mirror(upper: list, k: int) -> list:
     """The symmetric k x k matrix whose entries above the diagonal are
-    upper, row-major, with an int 0 diagonal, as k independent row lists."""
+    upper, row-major, as k independent row lists. The diagonal, which the
+    file does not store, is an int 0 whatever upper's type."""
     rows = []
     start = 0
     for i in range(k):
@@ -637,11 +639,11 @@ _BELOW_NAN = bytes(range(0x7C))  # last bytes of no f16, f32 or f64 NaN
 
 def _read_block(stream: BinaryIO, name: str, code: str, scale: int, per: int,
                 rows: int) -> list:
-    """rows rows of per values of struct code. Int codes come back as
-    read, or at a scale s > 0 as distances n / 2**s: n >> s where that is
-    exact, a float otherwise. f16, f32 and f64 values are distances, so a
-    NaN or a value with its sign bit set (negative, or -0.0) fails, and
-    they come back as ints where integral."""
+    """rows rows of per values of struct code, each of the type the code
+    sets: an int code at scale 0 gives ints, an int code at a scale s > 0
+    the floats n * 2**-s, and f16, f32 and f64 floats. A float value is a
+    distance, so a NaN or a value with its sign bit set (negative, or
+    -0.0) fails."""
     width = struct.calcsize("<" + code)
     fmt = f"<{per}{code}"
     out = []
@@ -660,12 +662,9 @@ def _read_block(stream: BinaryIO, name: str, code: str, scale: int, per: int,
                 raise ValueError(
                     f"embedding file has a NaN or negative value in the {name}"
                 )
-            out.append([int(x) if x.is_integer() else x for x in values])
-        elif scale:
-            low, unit = (1 << scale) - 1, 1 << scale
-            out.append([n / unit if n & low else n >> scale for n in values])
-        else:
-            out.append(list(values))
+        # exact: n < 2**32 and s <= 255, so no product rounds
+        out.append(list(map(mul, values, repeat(2.0 ** -scale))) if scale
+                   else list(values))
     return out
 
 

@@ -213,10 +213,11 @@ def landmark_matrix(
 ) -> list:
     """Pairwise true distances among landmarks.
 
-    known holds the first rows when the caller already has them (row i
-    = distances from landmarks[i] to every landmark, read off a full
-    tree), trusted, not recomputed; each remaining landmark gets one
-    truncated run. A truncated run settles a prefix of the full run, so
+    known holds the first rows (row i = distances from landmarks[i] to
+    every landmark, read off a full tree), trusted, not recomputed; only
+    the selector hand-off in build_distributed_embedding passes them, and
+    the package does not export this function. Each remaining landmark
+    gets one truncated run, which settles a prefix of the full run, so
     both give the same values bit for bit. Keeps only the |L| x |L| block.
     """
     lms = tuple(landmarks)

@@ -718,19 +718,14 @@ PAST_HALF = st.one_of(
 )
 
 
-def fraction(x) -> bool:
-    return not x.is_integer()
-
-
-# Non-integral floats only: an integral f64 loads back as an int.
 lemb_values = st.one_of(
     st.integers(0, 2**53),
     st.integers(2**53 - 64, 2**53),
     st.integers(0, 2**20).filter(lambda n: n % 8).map(lambda n: n / 8),
     st.integers(0, 10**6).filter(lambda n: n % 10).map(lambda n: n / 10),
     st.integers(1, 64).map(lambda j: 2.0**52 - j - 0.5),
-    HALF_EXACT.filter(fraction),
-    PAST_HALF.filter(fraction),
+    HALF_EXACT,
+    PAST_HALF,
     st.just(math.inf),
 )
 
@@ -761,6 +756,36 @@ def stored_fields(e):
     return repr([getattr(e, f.name) for f in dataclasses.fields(e)])
 
 
+def assert_types_follow_codes(back, data: bytes) -> None:
+    """Every value of back, the load of data, has the type its section's
+    code sets: an int at an int code with scale 0, a float at a float code
+    or a nonzero scale. Version 1 stores indices as Q and distances as d.
+    A triangle's diagonal, which no file stores, is an int 0."""
+    version, triangle = data[4], data[4] == 3 and data[6] == 1
+    got = v3_sections(back) if triangle else sections(back)
+    n = len(got)
+    codes = (data[24:24 + n].decode() if version > 1
+             else ["d" if distance else "Q" for _, distance in got])
+    scales = data[24 + n:24 + 2 * n] if version == 3 else bytes(n)
+    for (values, _), code, scale in zip(got, codes, scales):
+        want = int if code in "BHIQ" and not scale else float
+        assert {type(x) for x in values} <= {want}, (code, scale)
+    if triangle:
+        assert [repr(row[i]) for i, row in enumerate(back.lmatrix)] == [
+            "0"] * len(back.lmatrix)
+
+
+def assert_loads(e, *files: bytes) -> None:
+    """Each file loads to values == e's, of the types its codes set, and
+    the load re-saves as save_embedding writes e."""
+    want = lemb_bytes(e)
+    for data in files:
+        back = load_embedding(io.BytesIO(data))
+        assert back == e
+        assert_types_follow_codes(back, data)
+        assert lemb_bytes(back) == want
+
+
 class TestLembLayout:
     """The version 1 bytes that load_embedding must keep reading, and the
     values and refusals it must keep. The files come from the version 1
@@ -786,20 +811,13 @@ class TestLembLayout:
             152, "6baa74220b1ab5067a36a73372d59a333fd4ec065fd7f901f1c72f993ec4ece7")
         assert (len(d), hashlib.sha256(d).hexdigest()) == (
             168, "140d38642f732cf57e7affa8cb1a1b5511610709c542f892b2d8039a34736241")
-        for e, data in ((alt, a), (alp, d)):
-            back = load_embedding(io.BytesIO(data))
-            assert back == e
-            assert stored_fields(back) == stored_fields(e)
+        assert_loads(alt, a)
+        assert_loads(alp, d)
 
     @settings(deadline=None, max_examples=150)
     @given(lemb_embeddings())
     def test_round_trip_keeps_values_and_bytes(self, e):
-        data = lemb_bytes(e)
-        back = load_embedding(io.BytesIO(data))
-        assert type(back) is type(e)
-        assert back == e
-        assert stored_fields(back) == stored_fields(e)
-        assert lemb_bytes(back) == data
+        assert_loads(e, lemb_bytes(e), oracles.lemb_v1_bytes(e))
 
     @pytest.mark.parametrize("bad", [math.nan, -3.0, -math.inf, -0.0])
     @pytest.mark.parametrize("which, name, start, count", [
@@ -1085,13 +1103,10 @@ class TestLembV2:
 
     def test_golden_values(self):
         for e, old in zip(self.golden(), self.files()):
-            back = load_embedding(io.BytesIO(old))
-            v1 = load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e)))
-            assert back == e
-            assert stored_fields(back) == stored_fields(v1)
-            assert lemb_bytes(back) == lemb_bytes(e)
-        assert load_embedding(io.BytesIO(self.files()[3])).table \
-            == [[0, 300, 7]]
+            assert_loads(e, old, oracles.lemb_v1_bytes(e))
+        # 7.0 was written at H, so it loads as an int
+        assert repr(load_embedding(io.BytesIO(self.files()[3])).table) \
+            == "[[0, 300, 7]]"
 
     def test_previous_writer_files_load(self):
         assert [(len(d), hashlib.sha256(d).hexdigest())
@@ -1100,11 +1115,7 @@ class TestLembV2:
             (76, "223fd002cdba9d1dde71fa386f10b35a6a12946bf676c9df8bdc7230371c92ba"),
         ]
         for e, old in zip(self.golden(), self.previous()):
-            back = load_embedding(io.BytesIO(old))
-            new = load_embedding(io.BytesIO(lemb_bytes(e)))
-            assert back == e
-            assert stored_fields(back) == stored_fields(new)
-            assert lemb_bytes(back) == lemb_bytes(e)
+            assert_loads(e, old, lemb_bytes(e))
 
     @settings(deadline=None, max_examples=200)
     @given(mixed_embeddings())
@@ -1112,11 +1123,8 @@ class TestLembV2:
         # the file the version 2 writer wrote: each section at narrowest_code
         codes = "".join(narrowest_code(values, distance)
                         for values, distance in sections(e))
-        back = load_embedding(io.BytesIO(oracles.lemb_v2_bytes(e, codes)))
-        v1 = load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e)))
-        assert back == e
-        assert stored_fields(back) == stored_fields(v1)
-        assert lemb_bytes(back) == lemb_bytes(e)
+        assert_loads(e, oracles.lemb_v2_bytes(e, codes),
+                     oracles.lemb_v1_bytes(e))
 
     @pytest.mark.parametrize("build", [build_alt_embedding,
                                        build_distributed_embedding])
@@ -1125,10 +1133,7 @@ class TestLembV2:
         e = build(g, select_farthest(g, 4, 1))
         data = lemb_bytes(e)
         assert b"e" in data[24:28]
-        back = load_embedding(io.BytesIO(data))
-        assert back == e
-        assert stored_fields(back) != stored_fields(e)  # 3.0 came back as 3
-        assert lemb_bytes(back) == data
+        assert_loads(e, data)
 
     @pytest.mark.parametrize("build", [build_alt_embedding,
                                        build_distributed_embedding])
@@ -1145,10 +1150,7 @@ class TestLembV2:
         n = len(codes)
         assert header_codes(data, n)[1:] == (
             codes[:-2].encode() + b"HH", bytes(n - 2) + b"\x03\x03")
-        for saved in (data, oracles.lemb_v2_bytes(e, codes)):
-            back = load_embedding(io.BytesIO(saved))
-            assert back == e
-            assert lemb_bytes(back) == data
+        assert_loads(e, data, oracles.lemb_v2_bytes(e, codes))
 
     @pytest.mark.parametrize("top, code", [
         (255, "B"), (255.0, "B"), (256, "H"), (2**16 - 1, "H"), (2**16, "I"),
@@ -1169,11 +1171,8 @@ class TestLembV2:
         data = lemb_bytes(e)
         assert header_codes(data, 3) == (1, f"B{code3}B".encode(),
                                          bytes([0, scale, 0]))
-        v1 = load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e)))
-        for saved in (data, oracles.lemb_v2_bytes(e, f"B{code}B")):
-            back = load_embedding(io.BytesIO(saved))
-            assert stored_fields(back) == stored_fields(v1)
-            assert lemb_bytes(back) == data
+        assert_loads(e, data, oracles.lemb_v2_bytes(e, f"B{code}B"),
+                     oracles.lemb_v1_bytes(e))
 
     @pytest.mark.parametrize("other, code", [(0.5, "e"), (2047.5, "f"),
                                              (0.1, "d")])
@@ -1400,17 +1399,15 @@ class TestLembV3:
         ]
 
     def test_golden_values(self):
-        # a version 1, 2 and 3 file of one embedding load to repr-identical
-        # values, and each re-saves as the version 3 file
+        # a version 1, 2 and 3 file of one embedding load to equal values,
+        # each of the type its code sets, and each re-saves as the version
+        # 3 file
         for e in self.golden():
             data = lemb_bytes(e)
             codes = "".join(narrowest_code(values, distance)
                             for values, distance in sections(e))
-            loads = [load_embedding(io.BytesIO(saved)) for saved in (
-                oracles.lemb_v1_bytes(e), oracles.lemb_v2_bytes(e, codes), data)]
-            assert loads[-1] == e
-            assert len({stored_fields(back) for back in loads}) == 1
-            assert {lemb_bytes(back) for back in loads} == {data}
+            assert_loads(e, oracles.lemb_v1_bytes(e),
+                         oracles.lemb_v2_bytes(e, codes), data)
             assert header_codes(data, len(codes)) == v3_codes(e)
 
     def test_triangle_loads_as_independent_rows(self):
@@ -1425,12 +1422,7 @@ class TestLembV3:
     @given(mixed_embeddings())
     def test_rules_follow_values(self, e):
         data = lemb_bytes(e)
-        back = load_embedding(io.BytesIO(data))
-        v1 = load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e)))
-        assert back == e
-        assert stored_fields(back) == stored_fields(v1)
-        assert lemb_bytes(back) == data
-        assert lemb_bytes(v1) == data
+        assert_loads(e, data, oracles.lemb_v1_bytes(e))
         # the triangle iff exactly symmetric with a 0 diagonal, and a
         # fixed-point code iff strictly narrower than the float code
         assert header_codes(data, len(sections(e))) == v3_codes(e)
@@ -1450,9 +1442,7 @@ class TestLembV3:
         data = lemb_bytes(e)
         assert header_codes(data, 3) == (1, f"B{code}B".encode(),
                                          bytes([0, scale, 0]))
-        back = load_embedding(io.BytesIO(data))
-        assert stored_fields(back) == stored_fields(e)
-        assert lemb_bytes(back) == data
+        assert_loads(e, data)
 
     @pytest.mark.parametrize("graph, form", [
         ("int-random", 1), ("eighths-grid", 1), ("tenths-grid", 0),
@@ -1466,9 +1456,24 @@ class TestLembV3:
         e = build(g, select_farthest(g, 4, 1))
         data = lemb_bytes(e)
         assert data[6] == form == triangular(e.lmatrix)
+        assert_loads(e, data, oracles.lemb_v1_bytes(e))
+
+    @pytest.mark.parametrize("row, code, scale", [
+        ([0, 2.0, 3.0], "B", 0), ([0, 0.5, 1.0], "B", 1),
+        ([0, 1000.5, 3.0], "e", 0), ([0, 65504.5, 3.0], "f", 0),
+        ([0, 0.1, 1.0], "d", 0),
+    ], ids=["ints", "halves", "f16", "f32", "tenths"])
+    def test_code_sets_the_type(self, row, code, scale):
+        # only an int code at scale 0 loads ints: a built 1.0 (0.5 + 0.5)
+        # stays a float, and so does an integral value in a scaled section
+        e = AltEmbedding(LandmarkSet((0,)), [row], [[0]])
+        data = lemb_bytes(e)
+        assert header_codes(data, 3) == (1, f"B{code}B".encode(),
+                                         bytes([0, scale, 0]))
         back = load_embedding(io.BytesIO(data))
-        assert stored_fields(back) == stored_fields(
-            load_embedding(io.BytesIO(oracles.lemb_v1_bytes(e))))
+        assert back.table == [row]
+        want = int if code == "B" and not scale else float
+        assert [type(x) for x in back.table[0]] == [want] * 3
 
     @pytest.mark.parametrize("lmatrix, form", [
         ([[0, 3], [3.0, 0]], 1),

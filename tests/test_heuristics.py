@@ -316,9 +316,11 @@ class TestAltEvaluatorStorage:
 
     def test_eighths_after_round_trip(self):
         g = weighted_grid(7, eighths)
-        e = round_trip(build_alt_embedding(g, select_farthest(g, 6, seed=2)))
-        kinds = {type(x) for row in e.table for x in row}
-        assert kinds == {int, float}
+        e = build_alt_embedding(g, select_farthest(g, 6, seed=2))
+        assert {type(x) for row in e.table for x in row} == {int, float}
+        # the table is written at a float code, so it loads floats only
+        e = round_trip(e)
+        assert {type(x) for row in e.table for x in row} == {float}
         assert _packed_columns(e.table) is not None
         assert_matches_alt_h(e)
 

@@ -6,18 +6,19 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polyroute
 from polyroute import (
     GraphError,
     astar,
     build_graph,
     dijkstra_query,
     generate_random_connected,
-    landmark_matrix,
     multi_source_spt,
     shortest_path_tree,
     track_kernels,
     truncated_spt,
 )
+from polyroute.sssp import landmark_matrix
 
 import oracles
 from corpusdef import all_pairs_oracle
@@ -134,6 +135,11 @@ class TestLandmarkMatrix:
     def test_duplicate_landmarks(self, p6):
         with pytest.raises(ValueError, match="duplicate"):
             landmark_matrix(p6, (0, 0))
+
+    def test_not_exported(self):
+        # it trusts its known rows, so only the selector hand-off calls it
+        assert "landmark_matrix" not in polyroute.__all__
+        assert not hasattr(polyroute, "landmark_matrix")
 
 
 class TestTruncated:

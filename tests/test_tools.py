@@ -86,6 +86,37 @@ def test_readme_lemb_sizes_match_save_embedding():
     assert readme_lemb_sizes() == want
 
 
+def _select_and_build(g) -> tuple:
+    """The kernel path of perfbench's set-up: select_farthest, then both
+    builds from the one landmark set."""
+    L = polyroute.select_farthest(g, 4, 1)
+    return (polyroute.build_alt_embedding(g, L),
+            polyroute.build_distributed_embedding(g, L))
+
+
+def test_perfbench_kernel_wrappers_see_every_kernel_call():
+    """perfbench's KernelWrappers patches module globals by name; each
+    kernel the builds call must show as its span, once per call, and
+    the counts must not move."""
+    tracing = _load_module("perfbench", "tracing")
+    g = polyroute.generate_grid(6, 6)
+    with polyroute.track_kernels() as plain:
+        want = _select_and_build(g)
+    spans = tracing.Spans()
+    with polyroute.track_kernels() as traced, tracing.KernelWrappers(spans):
+        got = _select_and_build(g)
+    assert got == want
+    assert traced == plain
+    # a plain dict, since a Counter equals one that lacks its zero counts
+    assert dict(Counter(name for name, *_ in spans.records)) == {
+        "sssp.full_spt": plain.full_spt,
+        "sssp.multi_source": plain.multi_source,
+        "sssp.matrix": 1,
+        "sssp.truncated_spt": plain.truncated_spt,
+    }
+    assert polyroute.embedding.landmark_matrix is polyroute.sssp.landmark_matrix
+
+
 def _lemb(e) -> bytes:
     buf = io.BytesIO()
     polyroute.save_embedding(e, buf)
