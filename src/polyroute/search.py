@@ -7,9 +7,9 @@ exact for any admissible heuristic; the extra settle events are reported
 so the cost is visible.
 
 Heap entries compare by (f, -g, vertex id), so equal-f ties prefer the
-larger g and then the smaller id. Dijkstra (h=None) runs on the kernel
-of sssp, which settles each distance level in id order: the order of
-A* with an evaluator that returns 0.
+larger g and then the smaller id. Dijkstra (h=None) runs on sssp's
+single-source loop, which settles each distance level in id order and
+keeps no owners: the order of A* with an evaluator that returns 0.
 
 Heuristic values are recomputed on every push, never cached, so the
 reported operation totals reflect what the heuristic actually costs
@@ -131,7 +131,7 @@ def dijkstra_query(
     _check_vertex(g, source, "source")
     _check_vertex(g, target, "target")
     order = [] if trace else None
-    dist, _, parent, settled = _run_kernel(g, (source,), (target,), order)
+    dist, parent, settled = _run_kernel(g, source, (target,), order)
     # The run stops on the target, so d = inf only if it was never reached.
     d = dist[target]
     path = _reconstruct(parent, source, target) if d < INF else []

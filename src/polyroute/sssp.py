@@ -1,17 +1,18 @@
 """Single-source and multi-source shortest-path kernels.
 
-One Dijkstra kernel serves every caller: full single-source trees,
-multi-source (nearest-seed) trees, truncated runs that stop once a watch
-set is settled, and search.dijkstra_query, which stops on its target. A
-vertex's owner is the position, in the sources given, of its nearest
-source. Unreached vertices carry dist = inf and owner/parent = -1.
+_run_kernel runs Dijkstra from one source: full trees, truncated runs
+that stop once a watch set is settled, and search.dijkstra_query, which
+stops on its target. _sweep runs it from several sources at once for
+multi-source (nearest-seed) trees; a vertex's owner is the position, in
+the sources given, of its nearest source. Unreached vertices carry
+dist = inf and owner/parent = -1.
 
-Determinism: the kernel settles vertices one distance level at a time,
-each level in vertex id order, and a relaxation that ties on distance is
-accepted only when it lowers the owner. Owners and parent pointers are
-therefore reproducible, equal-distance ties go to the source listed
-first, and the result is the one a heap keyed (distance, owner, vertex
-id) gives.
+Determinism: both loops settle one distance level at a time, each level
+in vertex id order. The sweep takes an equal-distance relaxation only
+when it lowers the owner, so ties go to the source listed first. Both
+give what a heap keyed (distance, owner, vertex id) gives: with one
+source that tie rule never fires, so _run_kernel keeps no owners and
+relaxes on strict < only.
 """
 
 from __future__ import annotations
@@ -84,40 +85,29 @@ def _count(kind: str) -> None:
 
 
 def _run_kernel(
-    g: Graph, sources: Sequence[int], stop_at: Sequence[int] = (),
+    g: Graph, source: int, stop_at: Sequence[int] = (),
     trail: "list | None" = None,
 ) -> tuple:
-    """Dijkstra from several sources at once, one distance level at a
-    time.
+    """Dijkstra from one source, one distance level at a time.
 
     keys is a heap holding each distinct tentative distance once, and
     level[d] lists the vertices that reached d (a vertex whose distance
     fell since is stale there). Weights are positive, so a level is
-    complete when it leaves the heap, and it is settled in id order. For
-    the vertices of one owner that is the order of a heap keyed
-    (distance, owner, id), and an equal-distance relaxation wins only
-    with a lower owner, so the result is the one that heap gives. This
+    complete when it leaves the heap, and it is settled in id order. This
     rests on d + w > d for every relaxation, which build_graph ensures by
     refusing weights a double path sum could absorb.
 
-    At equal distance the source listed first wins. If stop_at is given
-    (callers give it with one source), the run ends once every vertex in
-    it is settled; distances outside the settled region are then only
-    upper bounds. Returns (dist, owner, parent, settled): a run with
-    stop_at counts its settles and appends each settled vertex to trail,
-    if given; settled is 0 without stop_at.
+    If stop_at is given, the run ends once every vertex in it is settled;
+    distances outside the settled region are then only upper bounds, and
+    the run counts its settles and appends each settled vertex to trail,
+    if given. Returns (dist, parent, settled), settled 0 without stop_at.
     """
     n = g.vertex_count
     dist = [INF] * n
-    owner = [-1] * n
     parent = [-1] * n
-    for r, s in enumerate(sources):
-        # A later duplicate would overwrite the first one's owner; callers
-        # reject duplicates before reaching the kernel.
-        dist[s] = 0
-        owner[s] = r
+    dist[source] = 0
     keys = [0]
-    level = {0: list(sources)}
+    level = {0: [source]}
     adj = g.adjacency
     watch = bytearray(n) if stop_at else None
     for t in stop_at:
@@ -132,7 +122,6 @@ def _run_kernel(
             du = dist[u]
             if du < d:
                 continue
-            r = owner[u]
             if watch is not None:
                 settled += 1
                 if trail is not None:
@@ -140,7 +129,45 @@ def _run_kernel(
                 if watch[u]:
                     left -= 1
                     if not left:
-                        return dist, owner, parent, settled
+                        return dist, parent, settled
+            for v, w in adj[u]:
+                nd = du + w
+                if nd < dist[v]:
+                    lst = level.get(nd)
+                    if lst is not None:
+                        lst.append(v)
+                    else:
+                        level[nd] = [v]
+                        heappush(keys, nd)
+                    dist[v] = nd
+                    parent[v] = u
+    return dist, parent, settled
+
+
+def _sweep(g: Graph, sources: Sequence[int]) -> tuple:
+    """Dijkstra from distinct sources, level by level as _run_kernel. A
+    tie that lowers the owner also stores its nd, which keeps 3 and 3.0
+    apart on mixed int/float weights. Returns (dist, owner, parent).
+    """
+    n = g.vertex_count
+    dist = [INF] * n
+    owner = [-1] * n
+    parent = [-1] * n
+    for r, s in enumerate(sources):
+        dist[s] = 0
+        owner[s] = r
+    keys = [0]
+    level = {0: list(sources)}
+    adj = g.adjacency
+    while keys:
+        d = heappop(keys)
+        batch = level.pop(d)
+        batch.sort()
+        for u in batch:
+            du = dist[u]
+            if du < d:
+                continue
+            r = owner[u]
             for v, w in adj[u]:
                 nd = du + w
                 dv = dist[v]
@@ -158,7 +185,7 @@ def _run_kernel(
                     dist[v] = nd
                     owner[v] = r
                     parent[v] = u
-    return dist, owner, parent, settled
+    return dist, owner, parent
 
 
 def _check_vertex(g: Graph, v: int, what: str) -> None:
@@ -170,7 +197,10 @@ def shortest_path_tree(g: Graph, source: int) -> DistanceMap:
     """Exact single-source distances (full Dijkstra run)."""
     _check_vertex(g, source, "source")
     _count("full_spt")
-    return DistanceMap(*_run_kernel(g, (source,))[:3])
+    dist, parent, _ = _run_kernel(g, source)
+    owner = [0] * len(dist) if INF not in dist else [
+        -1 if d == INF else 0 for d in dist]
+    return DistanceMap(dist, owner, parent)
 
 
 def multi_source_spt(g: Graph, sources: Sequence[int]) -> DistanceMap:
@@ -187,7 +217,7 @@ def multi_source_spt(g: Graph, sources: Sequence[int]) -> DistanceMap:
     for s in srcs:
         _check_vertex(g, s, "source")
     _count("multi_source")
-    return DistanceMap(*_run_kernel(g, srcs)[:3])
+    return DistanceMap(*_sweep(g, srcs))
 
 
 def truncated_spt(g: Graph, source: int, targets: Sequence[int]) -> DistanceMap:
@@ -198,13 +228,13 @@ def truncated_spt(g: Graph, source: int, targets: Sequence[int]) -> DistanceMap:
     _count("truncated_spt")
     trail = []
     # With no targets the run stops after settling the source.
-    dist, owner, parent, _ = _run_kernel(
-        g, (source,), tuple(targets) or (source,), trail)
+    dist, parent, _ = _run_kernel(g, source, tuple(targets) or (source,),
+                                  trail)
     # Only settled vertices have exact distances; the rest read unreached.
     n = g.vertex_count
     dm = DistanceMap([INF] * n, [-1] * n, [-1] * n)
     for v in trail:
-        dm.dist[v], dm.owner[v], dm.parent[v] = dist[v], owner[v], parent[v]
+        dm.dist[v], dm.owner[v], dm.parent[v] = dist[v], 0, parent[v]
     return dm
 
 

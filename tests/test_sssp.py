@@ -104,6 +104,45 @@ class TestMultiSource:
             assert rows[sources[dm.owner[v]]][v] == best
 
 
+    def test_equal_distance_tie_stores_its_distance(self):
+        # vertex 2 is 3 from source 1 and 1.5 + 1.5 = 3.0 from source 0:
+        # the tie goes to source 0 and stores 3.0. One source takes no
+        # equal-distance relaxation, so its 3 stays an int.
+        g = build_graph(4, [(0, 3, 1.5), (3, 2, 1.5), (1, 2, 3)])
+        dm = multi_source_spt(g, (0, 1))
+        assert repr(dm.dist) == "[0, 0, 3.0, 1.5]"
+        assert dm.owner == [0, 1, 0, 0]
+        assert dm.parent == [-1, -1, 3, 0]
+        dm = shortest_path_tree(g, 1)
+        assert repr(dm.dist) == "[6.0, 0, 3, 4.5]"
+        assert dm.owner == [0, 0, 0, 0]
+        assert dm.parent == [3, -1, 1, 2]
+        # 3 reaches vertex 3 through 1 before 1.5 + 1.5 = 3.0 through 2
+        g = build_graph(4, [(0, 1, 1), (0, 2, 1.5), (1, 3, 2), (2, 3, 1.5)])
+        dm = shortest_path_tree(g, 0)
+        assert repr(dm.dist) == "[0, 1, 1.5, 3]"
+        assert dm.parent == [-1, 0, 0, 1]
+
+
+class TestSingleSourceUnreached:
+    """One source owns every reached vertex; the rest read -1."""
+
+    G = [(0, 1, 1), (1, 2, 1), (3, 4, 1)]
+
+    def test_full_tree(self):
+        g = build_graph(5, self.G)
+        assert shortest_path_tree(g, 0).owner == [0, 0, 0, -1, -1]
+
+    def test_truncated(self):
+        dm = truncated_spt(build_graph(5, self.G), 0, (1,))
+        assert dm.dist == [0, 1, math.inf, math.inf, math.inf]
+        assert dm.owner == [0, 0, -1, -1, -1]
+
+    def test_query_to_other_component(self):
+        r = dijkstra_query(build_graph(5, self.G), 0, 4)
+        assert (r.distance, r.path, r.settled) == (math.inf, [], 3)
+
+
 class TestLandmarkMatrix:
     def test_p6_endpoints(self, p6):
         assert landmark_matrix(p6, (0, 5)) == [[0, 5], [5, 0]]
