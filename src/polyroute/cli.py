@@ -255,16 +255,19 @@ def _cmd_bench(args) -> int:
         stratification=args.stratify,
     )
     queries = generate_queries(g, spec)
-    # Opened before the run, so a bad path fails at once; a failed run
-    # removes the file only if it made it (--out may be /dev/stdout).
+    # Opened before the run, so a bad path fails at once, but to append:
+    # a failed run leaves a file that was there as it was and removes one
+    # it made. Success truncates first unless --out is a pipe (/dev/stdout).
     made = not os.path.exists(args.out)
-    with open(args.out, "w", encoding="ascii", newline="") as fh:
+    with open(args.out, "a", encoding="ascii", newline="") as fh:
         try:
             rows = run_workload(g, L, queries, methods, mode=args.mode, timing=args.timing)
         except BaseException:
             if made:
                 os.remove(args.out)
             raise
+        if fh.seekable():
+            fh.truncate(0)
         emit_report(rows, _report_format(args.out), fh)
     print(f"wrote {args.out}: {len(rows)} rows")
     print(format_summary(summarize(rows)))

@@ -43,14 +43,15 @@ is free. Each counting mode charges one flat price per owner case:
   0 div) over 2 terms cross-owner, even when the first term alone
   decides, and (1 sub) over 1 term same-owner.
 
-A mode sets only the counters, never a value.
+A mode sets only the counters, never a value. The term count is part
+of a price only; a search result sums the three operation counts.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from math import isfinite
 from operator import sub
 from struct import pack
@@ -71,30 +72,27 @@ S5: l1, l2, l_alpha pairwise distinct.
 
 @dataclass(frozen=True)
 class OpCounters:
-    """Arithmetic cost of one heuristic evaluation.
-
-    max_arity = number of candidate bounds fed to the final max.
-    """
+    """Heuristic arithmetic one query spent, summed over its evaluations."""
 
     subtractions: int
     multiplications: int
     divisions: int
-    max_arity: int
 
     def total(self) -> int:
         return self.subtractions + self.multiplications + self.divisions
 
 
-# (same-owner, cross-owner) price of one dual-landmark evaluation per mode.
+# (same-owner, cross-owner) price of one dual-landmark evaluation per mode:
+# the evaluator's tail (subtractions, multiplications, divisions, terms).
 _ALP_PRICES = {
-    "literal": (OpCounters(8, 0, 0, 5), OpCounters(9, 2, 1, 4)),
-    "reduced": (OpCounters(1, 0, 0, 1), OpCounters(4, 0, 0, 2)),
+    "literal": ((8, 0, 0, 5), (9, 2, 1, 4)),
+    "reduced": ((1, 0, 0, 1), (4, 0, 0, 2)),
 }
 MODES = tuple(_ALP_PRICES)
 
 
 # Lightweight evaluator protocol used by the search engine: returns
-# (value, subtractions, multiplications, divisions, arity) per call.
+# (value, subtractions, multiplications, divisions, terms) per call.
 # astar(g, s, t, None) takes no evaluator and returns dijkstra_query's
 # result, which runs on the sssp kernel and never calls this protocol.
 Evaluator = Callable[[int, int], tuple]
@@ -205,9 +203,7 @@ def make_alp_evaluator(e: DistributedEmbedding, mode: str = "literal") -> Evalua
     """
     if mode not in _ALP_PRICES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    same, cross = _ALP_PRICES[mode]
-    s_sub, s_mul, s_div, s_ar = astuple(same)
-    c_sub, c_mul, c_div, c_ar = astuple(cross)
+    (s_sub, s_mul, s_div, s_ar), (c_sub, c_mul, c_div, c_ar) = _ALP_PRICES[mode]
     owner = e.owner
     dto = e.dist_to_owner
     lmatrix = e.lmatrix

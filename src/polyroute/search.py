@@ -12,8 +12,8 @@ single-source loop, which settles each distance level in id order and
 keeps no owners: the order of A* with an evaluator that returns 0.
 
 Heuristic values are recomputed on every push, never cached, so the
-reported operation totals reflect what the heuristic actually costs
-during the search.
+reported operation totals, summed over every evaluation, reflect what
+the heuristic actually costs during the search.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ def astar(
 ) -> QueryResult:
     """Guided search; exact for admissible h thanks to reopening.
 
-    h follows the evaluator protocol: h(v, target) returns
-    (value, subtractions, multiplications, divisions, arity). h=None
-    is dijkstra_query.
+    h follows the evaluator protocol: h(v, target) returns (value,
+    subtractions, multiplications, divisions, terms), and op_totals sums
+    the three counts. h=None is dijkstra_query.
     """
     if h is None:
         return dijkstra_query(g, source, target, trace)
@@ -79,11 +79,10 @@ def astar(
     parent = [-1] * n
     closed = bytearray(n)
     g_dist[source] = 0
-    hv, total_subs, total_muls, total_divs, max_arity = h(source, target)
+    hv, total_subs, total_muls, total_divs, _ = h(source, target)
     evals = 1
     heap = [(hv, 0, source)]
     expanded = 0
-    settled = 0
     order = [] if trace else None
     adj = g.adjacency
     while heap:
@@ -92,9 +91,7 @@ def astar(
         if gu > g_dist[u]:
             continue
         expanded += 1
-        if not closed[u]:
-            closed[u] = 1
-            settled += 1
+        closed[u] = 1
         if order is not None:
             order.append(u)
         if u == target:
@@ -104,21 +101,20 @@ def astar(
             if ng < g_dist[v]:
                 g_dist[v] = ng
                 parent[v] = u
-                hv, subs, muls, divs, arity = h(v, target)
+                hv, subs, muls, divs, _ = h(v, target)
                 evals += 1
                 total_subs += subs
                 total_muls += muls
                 total_divs += divs
-                if arity > max_arity:
-                    max_arity = arity
                 heappush(heap, (ng + hv, -ng, v))
-    totals = OpCounters(total_subs, total_muls, total_divs, max_arity)
+    settled = closed.count(1)
     # The loop stops on settling the target, so an unsettled target was
     # never reached and its distance is still inf.
     path = _reconstruct(parent, source, target) if closed[target] else []
     return QueryResult(
         source, target, g_dist[target], path, settled, expanded,
-        expanded - settled, evals, totals, order,
+        expanded - settled, evals,
+        OpCounters(total_subs, total_muls, total_divs), order,
     )
 
 
@@ -136,4 +132,4 @@ def dijkstra_query(
     d = dist[target]
     path = _reconstruct(parent, source, target) if d < INF else []
     return QueryResult(source, target, d, path, settled, settled, 0, 0,
-                       OpCounters(0, 0, 0, 0), order)
+                       OpCounters(0, 0, 0), order)

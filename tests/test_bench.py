@@ -9,8 +9,10 @@ from itertools import combinations
 
 import pytest
 
+import oracles
 from polyroute import (
     CSV_HEADER,
+    MODES,
     BenchError,
     BenchRow,
     LandmarkSet,
@@ -138,6 +140,24 @@ class TestRunWorkload:
         for row in run_workload(g, L, queries, methods=("alt",)):
             assert row.subs == 4 * row.heuristic_evals
             assert row.muls == 0 and row.divs == 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_alp_arithmetic_prices_the_scenario_histogram(self, mode):
+        # S3 and S4 share an owner, S1, S2 and S5 do not: astar must sum
+        # exactly what the evaluator charges for each owner case.
+        g = generate_grid(12, 12)
+        queries = generate_queries(g, WorkloadSpec(15, seed=3))
+        rows = run_workload(g, select_farthest(g, 4, 0), queries,
+                            methods=("alp",), mode=mode)
+        assert any(r.s3 + r.s4 for r in rows)
+        assert any(r.s1 + r.s2 + r.s5 for r in rows)
+        assert any(r.reopened for r in rows)
+        p_same, p_cross = oracles.ALP_PRICES[mode]
+        for r in rows:
+            same = r.s3 + r.s4
+            cross = r.s1 + r.s2 + r.s5
+            want = [same * ps + cross * pc for ps, pc in zip(p_same, p_cross)]
+            assert [r.subs, r.muls, r.divs] == want[:3]
 
     def test_goal_direction_beats_blind_search_on_grid(self):
         g = generate_grid(20, 20)

@@ -3,7 +3,9 @@
 import io
 import json
 import math
+import os
 import struct
+import threading
 
 import pytest
 
@@ -494,6 +496,34 @@ class TestBench:
         assert (code, out) == (1, "")
         assert err.startswith("error: [Errno 2] No such file or directory")
 
+    def test_success_replaces_an_existing_file(self, tmp_path, capsys):
+        gr = tmp_path / "g.gr"
+        run(capsys, "gen", "--grid", "4x4", "--out", str(gr))
+        fresh, old = tmp_path / "a.csv", tmp_path / "b.csv"
+        old.write_text("x" * 10000 + "\n")
+        argv = ["bench", "--graph", str(gr), "--queries", "5",
+                "--landmarks", "2"]
+        assert run(capsys, *argv, "--out", str(fresh))[0] == 0
+        assert run(capsys, *argv, "--out", str(old))[0] == 0
+        assert old.read_bytes() == fresh.read_bytes()
+
+    def test_report_streams_to_a_pipe(self, tmp_path, capsys):
+        # A FIFO cannot be truncated, as /dev/stdout cannot when piped.
+        gr = tmp_path / "g.gr"
+        run(capsys, "gen", "--grid", "4x4", "--out", str(gr))
+        fresh, fifo = tmp_path / "a.csv", tmp_path / "fifo.csv"
+        argv = ["bench", "--graph", str(gr), "--queries", "5",
+                "--landmarks", "2"]
+        assert run(capsys, *argv, "--out", str(fresh))[0] == 0
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run(capsys, *argv, "--out", str(fifo))[0] == 0
+        reader.join(timeout=60)
+        assert got == [fresh.read_bytes()]
+
     @pytest.mark.parametrize("existed", [False, True])
     def test_failed_run_removes_only_a_file_it_made(self, tmp_path, capsys,
                                                     existed):
@@ -508,6 +538,8 @@ class TestBench:
         assert (code, out) == (1, "")
         assert err.startswith("error: unknown method 'bogus'")
         assert rpt.exists() == existed
+        if existed:
+            assert rpt.read_text() == "old\n"
 
 
 class TestTopLevel:

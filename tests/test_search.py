@@ -99,7 +99,7 @@ class TestAstar:
                 assert (a.settled, a.expanded, a.reopened) \
                     == (d.settled, d.expanded, d.reopened)
             assert blind.heuristic_evals == d.heuristic_evals == 0
-            assert blind.op_totals == d.op_totals == OpCounters(0, 0, 0, 0)
+            assert blind.op_totals == d.op_totals == OpCounters(0, 0, 0)
 
     @pytest.mark.parametrize("trace", [False, True])
     def test_no_heuristic_is_dijkstra_query(self, trace):
@@ -149,9 +149,11 @@ class TestAstar:
         g = generate_random_connected(50, 35, 3)
         e = build_distributed_embedding(g, select_random(g, 4, 3))
         h = make_alp_evaluator(e)
-        for s, t in [(0, 49), (20, 30), (7, 41)]:
-            r = astar(g, s, t, h)
-            assert r.reopened == r.expanded - r.settled
+        for s, t in [(0, 34), (1, 27)]:
+            r = astar(g, s, t, h, trace=True)
+            assert r.settled == len(set(r.settle_order))
+            assert r.expanded == len(r.settle_order)
+            assert r.reopened == r.expanded - r.settled > 0
 
     def test_source_equals_target_costs_one_eval(self, p6):
         e = build_alt_embedding(p6, LandmarkSet((0, 5)))
@@ -168,7 +170,6 @@ class TestAstar:
         assert r.op_totals.subtractions == 3 * r.heuristic_evals
         assert r.op_totals.multiplications == 0
         assert r.op_totals.divisions == 0
-        assert r.op_totals.max_arity == 3
 
     def test_goal_direction_prunes_grid(self):
         g = generate_grid(20, 20)

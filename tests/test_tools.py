@@ -8,7 +8,7 @@ import pathlib
 import sys
 import types
 from collections import Counter
-from dataclasses import astuple, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import polyroute
 from polyroute.bench import METHODS
@@ -48,8 +48,8 @@ def readme_alp_prices() -> list:
 def test_readme_price_table_matches_alp_prices():
     want = {}
     for mode, (same, cross) in _ALP_PRICES.items():
-        want["same owner", mode] = astuple(same)
-        want["cross owner", mode] = astuple(cross)
+        want["same owner", mode] = same
+        want["cross owner", mode] = cross
     rows = readme_alp_prices()
     assert len(rows) == len(want)
     assert dict(rows) == want
