@@ -51,7 +51,6 @@ from .bench import (
     BenchError,
     BenchRow,
     CSV_HEADER,
-    VerificationReport,
     WorkloadSpec,
     emit_report,
     format_summary,
@@ -78,8 +77,8 @@ __all__ = [
     "MODES", "SCENARIOS", "OpCounters", "classify_scenario",
     "make_alp_evaluator", "make_alt_evaluator",
     "QueryResult", "astar", "dijkstra_query",
-    "BenchError", "BenchRow", "CSV_HEADER", "VerificationReport",
-    "WorkloadSpec", "emit_report", "format_summary", "generate_queries",
+    "BenchError", "BenchRow", "CSV_HEADER", "WorkloadSpec",
+    "emit_report", "format_summary", "generate_queries",
     "load_report", "run_workload", "summarize", "verify_workload",
     "derive_seed",
 ]

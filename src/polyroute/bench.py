@@ -256,31 +256,20 @@ def _to_row(method: str, res: QueryResult, hist: list, wall: int) -> BenchRow:
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Oracle check of a report: how many rows held, which did not."""
-
-    checked: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_workload(g: Graph, rows: Sequence) -> VerificationReport:
+def verify_workload(g: Graph, rows: Sequence) -> list:
     """Recompute every row's distance from scratch and compare exactly.
 
     Each source's rows are checked from one single-source run that is
     dropped before the next, so memory holds one distance row at a time.
-    Violations are listed in row order. A row whose source or target is
-    not a vertex of g raises ValueError naming the row.
+    Returns one dict per wrong row, in row order (row, method, source,
+    target, reported, expected). A row whose source or target is not a
+    vertex of g raises ValueError naming the row.
     """
     for i, row in enumerate(rows):
         for what in ("source", "target"):
             _check_vertex(g, getattr(row, what), f"row {i}: {what}")
     expected = _pair_distances(g, [(row.source, row.target) for row in rows])
-    violations = [
+    return [
         {
             "row": i,
             "method": row.method,
@@ -292,7 +281,6 @@ def verify_workload(g: Graph, rows: Sequence) -> VerificationReport:
         for i, (row, d) in enumerate(zip(rows, expected))
         if row.distance != d
     ]
-    return VerificationReport(checked=len(rows), violations=violations)
 
 
 def emit_report(rows: Sequence, format: str, sink: TextIO) -> None:

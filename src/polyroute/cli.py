@@ -101,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--random", metavar="N,EXTRA",
         help="random connected graph: spanning tree plus EXTRA edges",
     )
-    kind.add_argument("--path", metavar="N", type=int, help="path graph on N vertices")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--format", choices=("dimacs", "edgelist"), default="dimacs")
@@ -163,13 +162,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if args.grid:
+    if args.grid is not None:
         try:
             rows, cols = (int(x) for x in args.grid.lower().split("x"))
         except ValueError:
             raise GraphError(f"bad --grid value {args.grid!r}, expected RxC") from None
         g = generate_grid(rows, cols)
-    elif args.random:
+    else:
         try:
             n, extra = (int(x) for x in args.random.split(","))
         except ValueError:
@@ -177,10 +176,6 @@ def _cmd_gen(args) -> int:
                 f"bad --random value {args.random!r}, expected N,EXTRA"
             ) from None
         g = generate_random_connected(n, extra, derive_seed(args.seed, "gen"))
-    else:
-        if args.path < 1:
-            raise GraphError(f"bad --path value {args.path}, expected N >= 1")
-        g = generate_grid(1, args.path)
     with open(args.out, "w", encoding="ascii") as fh:
         if args.format == "dimacs":
             save_dimacs(g, fh)
@@ -257,7 +252,8 @@ def _cmd_bench(args) -> int:
     queries = generate_queries(g, spec)
     # Opened before the run, so a bad path fails at once, but to append:
     # a failed run leaves a file that was there as it was and removes one
-    # it made. Success truncates first unless --out is a pipe (/dev/stdout).
+    # it made. Success truncates first, unless --out is a pipe or the file
+    # stdout writes to: that one takes the report through stdout, untruncated.
     made = not os.path.exists(args.out)
     with open(args.out, "a", encoding="ascii", newline="") as fh:
         try:
@@ -266,9 +262,14 @@ def _cmd_bench(args) -> int:
             if made:
                 os.remove(args.out)
             raise
-        if fh.seekable():
+        try:  # a stdout without a file descriptor is another file
+            to_stdout = os.path.samestat(os.fstat(fh.fileno()),
+                                         os.fstat(sys.stdout.fileno()))
+        except OSError:
+            to_stdout = False
+        if not to_stdout and fh.seekable():
             fh.truncate(0)
-        emit_report(rows, _report_format(args.out), fh)
+        emit_report(rows, _report_format(args.out), sys.stdout if to_stdout else fh)
     print(f"wrote {args.out}: {len(rows)} rows")
     print(format_summary(summarize(rows)))
     return 0
@@ -278,15 +279,15 @@ def _cmd_verify(args) -> int:
     g = load_graph_file(args.graph)
     with open(args.report, "r", encoding="ascii", newline="") as fh:
         rows = load_report(fh, _report_format(args.report))
-    report = verify_workload(g, rows)
-    print(f"checked: {report.checked}")
-    print(f"violations: {len(report.violations)}")
-    for v in report.violations:
+    violations = verify_workload(g, rows)
+    print(f"checked: {len(rows)}")
+    print(f"violations: {len(violations)}")
+    for v in violations:
         print(
             f"  row {v['row']} [{v['method']}] {v['source']}->{v['target']}: "
             f"reported {v['reported']}, expected {v['expected']}"
         )
-    return 0 if report.ok else 1
+    return 1 if violations else 0
 
 
 _HANDLERS = {

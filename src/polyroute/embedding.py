@@ -68,9 +68,6 @@ class LandmarkSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self):
-        return iter(self.ids)
-
 
 @dataclass(frozen=True)
 class AltEmbedding:

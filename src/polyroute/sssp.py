@@ -244,24 +244,16 @@ def landmark_matrix(
     """Pairwise true distances among landmarks.
 
     known holds the first rows (row i = distances from landmarks[i] to
-    every landmark, read off a full tree), trusted, not recomputed; only
-    the selector hand-off in build_distributed_embedding passes them, and
+    every landmark, read off a full tree), not recomputed. Nothing is
+    checked: the one caller, build_distributed_embedding, passes a
+    LandmarkSet's distinct, range-checked ids and its selector's rows, and
     the package does not export this function. Each remaining landmark
     gets one truncated run, which settles a prefix of the full run, so
     both give the same values bit for bit. Keeps only the |L| x |L| block.
     """
-    lms = tuple(landmarks)
-    if len(set(lms)) != len(lms):
-        raise ValueError(f"duplicate landmarks in {lms}")
-    for l in lms:
-        _check_vertex(g, l, "landmark")
-    if len(known) > len(lms) or any(len(row) != len(lms) for row in known):
-        raise ValueError(
-            f"known rows must be at most {len(lms)} rows of {len(lms)} entries"
-        )
     matrix = [list(row) for row in known]
-    for l in lms[len(known):]:
-        dm = truncated_spt(g, l, lms)
-        matrix.append([dm.dist[other] for other in lms])
+    for l in landmarks[len(known):]:
+        dm = truncated_spt(g, l, landmarks)
+        matrix.append([dm.dist[other] for other in landmarks])
     return matrix
 

@@ -5,7 +5,10 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,7 @@ def run(capsys, *argv):
 @pytest.fixture
 def p6_file(tmp_path, capsys):
     path = tmp_path / "p6.gr"
-    code, out, _ = run(capsys, "gen", "--path", "6", "--out", str(path))
+    code, out, _ = run(capsys, "gen", "--grid", "1x6", "--out", str(path))
     assert code == 0
     assert out.startswith(f"wrote {path}: 6 vertices, 5 edges")
     return str(path)
@@ -59,12 +62,11 @@ class TestGen:
         assert code == 1
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("n", ["0", "-3"])
-    def test_path_below_one_errors(self, tmp_path, capsys, n):
+    def test_empty_grid_is_clean_error(self, tmp_path, capsys):
         out_path = tmp_path / "x.gr"
-        code, out, err = run(capsys, "gen", "--path", n, "--out", str(out_path))
+        code, out, err = run(capsys, "gen", "--grid", "", "--out", str(out_path))
         assert (code, out) == (1, "")
-        assert err == f"error: bad --path value {n}, expected N >= 1\n"
+        assert err == "error: bad --grid value '', expected RxC\n"
         assert not out_path.exists()
 
 
@@ -417,7 +419,7 @@ class TestBench:
     @pytest.mark.parametrize("target", [9, -1])
     def test_report_vertex_outside_graph(self, tmp_path, capsys, target):
         gr = tmp_path / "p4.gr"
-        run(capsys, "gen", "--path", "4", "--out", str(gr))
+        run(capsys, "gen", "--grid", "1x4", "--out", str(gr))
         rpt = tmp_path / "out.csv"
         run(capsys, "bench", "--graph", str(gr), "--queries", "3",
             "--landmarks", "1", "--out", str(rpt), "--methods", "dijkstra")
@@ -437,7 +439,7 @@ class TestBench:
     ])
     def test_json_report_non_int_vertex(self, tmp_path, capsys, name, value, shown):
         gr = tmp_path / "p4.gr"
-        run(capsys, "gen", "--path", "4", "--out", str(gr))
+        run(capsys, "gen", "--grid", "1x4", "--out", str(gr))
         rpt = tmp_path / "out.json"
         run(capsys, "bench", "--graph", str(gr), "--queries", "3",
             "--landmarks", "1", "--out", str(rpt),
@@ -524,6 +526,27 @@ class TestBench:
         reader.join(timeout=60)
         assert got == [fresh.read_bytes()]
 
+    @pytest.mark.parametrize("same", ["path", "/dev/stdout"])
+    def test_stdout_redirected_to_the_out_file(self, tmp_path, capsys, same):
+        # The report, then the wrote line and summary, none overwritten.
+        gr = tmp_path / "g.gr"
+        run(capsys, "gen", "--grid", "4x4", "--out", str(gr))
+        plain, rpt = tmp_path / "a.csv", tmp_path / "r.csv"
+        out_arg = str(rpt) if same == "path" else same
+        argv = ["bench", "--graph", str(gr), "--queries", "3", "--methods", "alp"]
+        code, out, _ = run(capsys, *argv, "--out", str(plain))
+        assert code == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with open(rpt, "wb") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "polyroute.cli", *argv, "--out", out_arg],
+                stdout=fh, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert rpt.read_bytes() == (
+            plain.read_bytes() + out.replace(str(plain), out_arg).encode())
+
     @pytest.mark.parametrize("existed", [False, True])
     def test_failed_run_removes_only_a_file_it_made(self, tmp_path, capsys,
                                                     existed):
@@ -575,7 +598,7 @@ class TestTopLevel:
 
     def test_csv_named_json_is_clean_error(self, tmp_path, capsys):
         gr = tmp_path / "g.gr"
-        run(capsys, "gen", "--path", "3", "--out", str(gr))
+        run(capsys, "gen", "--grid", "1x3", "--out", str(gr))
         csv_rpt, bad = tmp_path / "r.csv", tmp_path / "r.json"
         run(capsys, "bench", "--graph", str(gr), "--queries", "2",
             "--landmarks", "1", "--out", str(csv_rpt))
@@ -588,7 +611,7 @@ class TestTopLevel:
 
     def test_unreadable_report_is_clean_error(self, tmp_path, capsys):
         gr = tmp_path / "g.gr"
-        run(capsys, "gen", "--path", "3", "--out", str(gr))
+        run(capsys, "gen", "--grid", "1x3", "--out", str(gr))
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,report\n1,2,3\n")
         code, _, err = run(capsys, "verify", "--graph", str(gr),
@@ -599,7 +622,7 @@ class TestTopLevel:
     @pytest.mark.parametrize("name", ["deep.json", "wide.csv"])
     def test_malformed_report_is_clean_error(self, tmp_path, capsys, name):
         gr = tmp_path / "g.gr"
-        run(capsys, "gen", "--path", "3", "--out", str(gr))
+        run(capsys, "gen", "--grid", "1x3", "--out", str(gr))
         bad = tmp_path / name
         bad.write_text({"deep.json": "[" * 100_000,
                         "wide.csv": "x" * 131_073 + "\n"}[name])

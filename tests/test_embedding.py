@@ -58,9 +58,6 @@ class TestLandmarkSet:
         with pytest.raises(ValueError, match="duplicate"):
             LandmarkSet((1, 2, 1))
 
-    def test_order_preserved(self):
-        assert tuple(LandmarkSet((5, 0))) == (5, 0)
-
     def test_matrix_and_graph_ignored_by_equality(self, p6):
         rich = select_farthest(p6, 2, 0)
         assert rich.matrix and rich.graph is p6 and rich.rows
@@ -196,6 +193,11 @@ class TestBuildDistributed:
     def test_3x3_entry_count(self, grid3):
         e = build_distributed_embedding(grid3, LandmarkSet((0, 8)))
         assert space_accounting(e) == (13, 13)
+
+    def test_landmark_out_of_range(self, p6):
+        # the build checks its landmarks; the landmark matrix it calls does not
+        with pytest.raises(ValueError, match=r"landmark 9 out of range \[0,6\)"):
+            build_distributed_embedding(p6, LandmarkSet((0, 9)))
 
     def test_owner_ties_break_to_smaller_landmark_index(self, grid2):
         # landmarks listed as (3, 0): vertex 1 and 2 tie at distance 1,

@@ -165,18 +165,8 @@ class TestLandmarkMatrix:
                 for h in range(k):
                     assert m[i][j] <= m[i][h] + m[h][j]
 
-    def test_known_rows_must_fit(self, p6):
-        with pytest.raises(ValueError, match="known rows"):
-            landmark_matrix(p6, (0, 5), known=[[0, 5], [5, 0], [1, 1]])
-        with pytest.raises(ValueError, match="known rows"):
-            landmark_matrix(p6, (0, 5), known=[[0, 5, 1]])
-
-    def test_duplicate_landmarks(self, p6):
-        with pytest.raises(ValueError, match="duplicate"):
-            landmark_matrix(p6, (0, 0))
-
     def test_not_exported(self):
-        # it trusts its known rows, so only the selector hand-off calls it
+        # it checks nothing and trusts its one caller, the ALP build
         assert "landmark_matrix" not in polyroute.__all__
         assert not hasattr(polyroute, "landmark_matrix")
 
@@ -188,6 +178,15 @@ class TestTruncated:
         assert dm.dist[2] == 2
         # far end not settled before the stop set completed
         assert dm.dist[5] == math.inf
+
+    def test_no_targets_settles_only_the_source(self, p6):
+        dm = truncated_spt(p6, 2, ())
+        assert dm.dist == [math.inf, math.inf, 0, math.inf, math.inf, math.inf]
+        assert dm.owner == [-1, -1, 0, -1, -1, -1]
+
+    def test_target_out_of_range(self, p6):
+        with pytest.raises(ValueError, match=r"target 9 out of range \[0,6\)"):
+            truncated_spt(p6, 0, (9,))
 
 
 # Weight kinds for the kernel property: ties (int), exact binary fractions

@@ -1,16 +1,20 @@
 """Repository tools stay in step with the library they call."""
 
 import ast
+import contextlib
 import importlib.util
 import io
 import json
 import pathlib
+import re
+import shlex
 import sys
 import types
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import polyroute
+from polyroute import cli
 from polyroute.bench import METHODS
 from polyroute.heuristics import _ALP_PRICES, MODES
 
@@ -369,3 +373,46 @@ def test_cli_names_no_method():
     name written into the CLI would be a per-method branch."""
     cli = (ROOT / "src" / "polyroute" / "cli.py").read_text()
     assert method_constants(cli) == []
+
+
+def sh_commands(text: str) -> list:
+    """argv of each `polyroute ...` command in text's ```sh blocks, with
+    backslash continuations joined and # comments dropped."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["polyroute"]:
+                commands.append(words[1:])
+    return commands
+
+
+def unparsed_commands(commands: list) -> list:
+    """Each argv the CLI's parser refuses, joined by spaces."""
+    refused = []
+    for argv in commands:
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                cli._build_parser().parse_args(argv)
+        except SystemExit:
+            refused.append(" ".join(argv))
+    return refused
+
+
+def test_sh_command_check_flags_unknown_flags():
+    text = ("```sh\n# a path graph\npolyroute gen --path 6 \\\n"
+            "    --out p.gr  # N vertices\npip install x\n```\n"
+            "polyroute gen --bogus\n"
+            "```sh\npolyroute gen --grid 1x6 --out p.gr\n```\n")
+    commands = sh_commands(text)
+    assert commands == [["gen", "--path", "6", "--out", "p.gr"],
+                        ["gen", "--grid", "1x6", "--out", "p.gr"]]
+    assert unparsed_commands(commands) == ["gen --path 6 --out p.gr"]
+
+
+def test_readme_commands_parse():
+    """Every command README shows still parses: no removed flag or
+    subcommand lingers in its examples."""
+    commands = sh_commands((ROOT / "README.md").read_text())
+    assert commands
+    assert unparsed_commands(commands) == []
