@@ -138,7 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--method", choices=METHODS, required=True)
     q.add_argument("--source", type=int, required=True)
     q.add_argument("--target", type=int, required=True)
-    q.add_argument("--embedding", help="serialized embedding (skips selection)")
+    q.add_argument("--embedding", help="serialized embedding (skips selection); "
+                   "only its vertex count and landmark range are checked, so a "
+                   "same-size file of another graph gives wrong distances")
 
     b = sub.add_parser(
         "bench", parents=[common, landmarks, tuning],

@@ -31,7 +31,7 @@ from .graph import Graph
 from .sssp import _check_vertex, landmark_matrix, multi_source_spt, shortest_path_tree
 
 _MAGIC = b"LEMB"
-_VERSION = 3  # save writes it; load also reads versions 1 and 2
+_VERSION = 3  # the one version save writes and load reads
 _KIND_FULL = 1
 _KIND_DISTRIBUTED = 2
 _INDEX_CODES = "BHIQ"  # unsigned ints, narrowest first
@@ -283,10 +283,10 @@ def _layout(kind: int, nv: int, k: int, codes: "str | None" = None,
     the landmark ids, then the full table's k rows of nv distances, or nv
     owner indices and nv owner distances, then the k x k matrix, or with
     triangle its k(k-1)/2 entries above the diagonal as one row. codes
-    gives one struct code per section, as a v2 or v3 header does; without
-    it the codes are v1's, Q for indices and d for distances. scales
-    gives one scale byte per section, as a v3 header does; without it
-    every scale is 0. Repeat counts keep it O(1)."""
+    and scales give one struct code and one scale byte per section, as
+    the header does; without them, as in the shapes-only calls, every
+    code is Q for indices and d for distances, at scale 0. Repeat counts
+    keep it O(1)."""
     if kind == _KIND_FULL:
         body = [("distance table", True, nv, k)]
     else:
@@ -516,7 +516,7 @@ def _pack_exact(rows: list, code: str) -> "bytearray | None":
 
 def _pack_uint(rows: list) -> tuple:
     """(code, bytes) of int rows at the narrowest unsigned width; a value
-    beyond u64, or below 0, is a struct.error, as in version 1."""
+    beyond u64, or below 0, is a struct.error."""
     top = max(chain.from_iterable(rows), default=0)
     code = next(
         (c for c in _INDEX_CODES if top < 1 << 8 * struct.calcsize("<" + c)), "Q"
@@ -533,14 +533,12 @@ def _pack_rows(rows: list, code: str) -> bytearray:
 
 
 def load_embedding(stream: BinaryIO) -> Embedding:
-    """Inverse of save_embedding, for versions 1 to 3; validates magic,
-    version, kind, the matrix form and each section's code and scale (an
-    index section takes only an int code and scale 0, a section with a
-    scale only B, H or I). Version 1 has no code bytes and versions 1 and
-    2 no scale bytes: theirs are _layout's defaults, so all versions share
-    the size check and the reads. Each section's values take the type its
-    code sets (see _read_block); a v3 triangle comes back as k row lists
-    with an int 0 diagonal, as every build makes it.
+    """Inverse of save_embedding, for the one version it writes; validates
+    magic, version, kind, the matrix form and each section's code and
+    scale (an index section takes only an int code and scale 0, a section
+    with a scale only B, H or I). Each section's values take the type its
+    code sets (see _read_block); a triangle comes back as k row lists with
+    an int 0 diagonal, as every build makes it.
 
     On a seekable stream the counts in the header are checked against
     the bytes that follow before any payload is read; on any stream the
@@ -555,21 +553,18 @@ def load_embedding(stream: BinaryIO) -> Embedding:
     magic, version, kind, form = struct.unpack("<4sBBBx", head)
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    if version not in (1, 2, _VERSION):
-        raise ValueError(f"unsupported embedding version {version}")
+    if version != _VERSION:
+        raise ValueError(f"unsupported embedding version {version}: this "
+                         f"build reads only version {_VERSION}; rerun "
+                         f"polyroute preprocess to rewrite the file")
     if kind not in (_KIND_FULL, _KIND_DISTRIBUTED):
         raise ValueError(f"unknown embedding kind {kind}")
-    if version < _VERSION:
-        form = 0  # a pad byte before version 3
-    elif form not in (0, 1):
+    if form not in (0, 1):
         raise ValueError(f"unknown landmark matrix form {form}")
     nv, k = struct.unpack("<QQ", _read_exact(stream, 16, "header"))
-    codes, scales = None, b""
-    if version > 1:
-        count = len(_layout(kind, nv, k))
-        codes = _read_exact(stream, count, "header").decode("latin-1")
-        if version == _VERSION:
-            scales = _read_exact(stream, count, "header")
+    count = len(_layout(kind, nv, k))
+    codes = _read_exact(stream, count, "header").decode("latin-1")
+    scales = _read_exact(stream, count, "header")
     layout = _layout(kind, nv, k, codes, scales, triangle=form == 1)
     need = sum(struct.calcsize("<" + c) * per * rows
                for _, _, c, _, per, rows in layout)

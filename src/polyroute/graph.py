@@ -81,51 +81,70 @@ def build_graph(vertex_count: int, edges: Iterable[tuple]) -> Graph:
     and least the smallest: a path sum is below 2 * total, so then no
     sum d + w rounds back to d and no distance or A* key overflows.
     """
+    return _assemble(vertex_count, _checked_edges(vertex_count, edges))
+
+
+def _checked_edges(vertex_count: int, edges: Iterable[tuple],
+                   lines: list = ()) -> dict:
+    """Every check of build_graph, each edge's and the whole input's, in
+    memory of the edges alone, whatever vertex_count: the weight of each
+    edge (u, v), keyed with u < v. With lines, the line number of each
+    edge, an edge's error names its line."""
     if vertex_count < 0:
         raise GraphError(f"vertex_count must be nonnegative, got {vertex_count}")
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(vertex_count)]
-    seen: set[tuple[int, int]] = set()
-    count = 0
+    weights: dict = {}
     has_float = False
     huge_int = None  # first edge with an int weight >= 2**53
-    for u, v, w in edges:
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise GraphError(f"edge ({u},{v}) endpoint out of range [0,{vertex_count})")
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        if not w > 0:
-            raise GraphError(f"edge ({u},{v}) has nonpositive weight {w}")
-        if w == math.inf:
-            raise GraphError(f"edge ({u},{v}) has non-finite weight {w}")
-        if isinstance(w, float):
-            has_float = True
-        elif huge_int is None and w >= _EXACT_INT:
-            huge_int = (u, v, w)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphError(f"duplicate edge ({u},{v})")
-        seen.add(key)
-        adjacency[u].append((v, w))
-        adjacency[v].append((u, w))
-        count += 1
+    try:
+        for u, v, w in edges:
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise GraphError(f"edge ({u},{v}) endpoint out of range "
+                                 f"[0,{vertex_count})")
+            if u == v:
+                raise GraphError(f"self-loop at vertex {u}")
+            if not w > 0:
+                raise GraphError(f"edge ({u},{v}) has nonpositive weight {w}")
+            if w == math.inf:
+                raise GraphError(f"edge ({u},{v}) has non-finite weight {w}")
+            if isinstance(w, float):
+                has_float = True
+            elif huge_int is None and w >= _EXACT_INT:
+                huge_int = (u, v, w)
+            key = (u, v) if u < v else (v, u)
+            if key in weights:
+                raise GraphError(f"duplicate edge ({u},{v})")
+            weights[key] = w
+    except GraphError as exc:
+        if not lines:
+            raise
+        # every edge before the faulty one added one key
+        raise GraphError(f"line {lines[len(weights)]}: {exc}") from None
     if has_float and huge_int is not None:
         u, v, w = huge_int
         raise GraphError(
             f"edge ({u},{v}) has int weight {w} >= 2**53 in a graph with "
             f"float weights; doubles cannot sum it exactly"
         )
-    for lst in adjacency:
-        lst.sort()
-    g = Graph(vertex_count=vertex_count, adjacency=adjacency, edge_count=count)
     if has_float:
-        weights = [w for _, _, w in g.edges()]  # canonical order
-        total, least = sum(weights), min(weights)
+        ordered = [w for _, w in sorted(weights.items())]  # Graph.edges() order
+        total, least = sum(ordered), min(ordered)
         if not (math.isfinite(4 * total) and least > math.ulp(total)):
             raise GraphError(
                 f"float weights with least {least!r} and total {total!r}: "
                 f"a double path sum could absorb a weight or overflow"
             )
-    return g
+    return weights
+
+
+def _assemble(vertex_count: int, weights: dict) -> Graph:
+    """The graph of _checked_edges' output."""
+    adjacency: list = [[] for _ in range(vertex_count)]
+    for (u, v), w in weights.items():
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
+    for lst in adjacency:
+        lst.sort()
+    return Graph(vertex_count, adjacency, len(weights))
 
 
 def _plain(text: str) -> str:
@@ -220,9 +239,8 @@ def load_dimacs(stream: "TextIO | str") -> Graph:
         raise GraphError("missing problem line")
     if arcs != m:
         raise GraphError(f"problem line declares {m} arcs, body has {arcs}")
-    g = build_graph(n, [(u, v, w) for (u, v), w in sorted(merged.items())])
-    _require_connected(g, "DIMACS input")
-    return g
+    edges = ((u, v, w) for (u, v), w in sorted(merged.items()))
+    return _connected(n, _checked_edges(n, edges), "DIMACS input")
 
 
 def save_dimacs(g: Graph, stream: TextIO) -> None:
@@ -244,6 +262,7 @@ def load_edge_list(stream: "TextIO | str") -> Graph:
     """Parse the plain edge-list format: ``n`` header, then ``u v [w]`` lines."""
     n = -1
     edges = []
+    lines = []
     for lineno, line in _content_lines(stream, "#"):
         parts = line.split()
         if n < 0:
@@ -263,36 +282,19 @@ def load_edge_list(stream: "TextIO | str") -> Graph:
         except ValueError:
             raise GraphError(f"line {lineno}: bad vertex id") from None
         w = _parse_weight(parts[2], lineno) if len(parts) == 3 else 1
-        edges.append((lineno, (u, v, w)))
+        edges.append((u, v, w))
+        lines.append(lineno)
     if n < 0:
         raise GraphError("missing vertex-count header")
-    g = _build_numbered(n, edges)
-    _require_connected(g, "edge-list input")
-    return g
+    return _connected(n, _checked_edges(n, edges, lines), "edge-list input")
 
 
-def _build_numbered(n: int, numbered: list) -> Graph:
-    """build_graph over (line number, edge) pairs; an error that build_graph
-    raises while taking an edge names that edge's line."""
-    lineno = None
-
-    def edges():
-        nonlocal lineno
-        for lineno, edge in numbered:
-            yield edge
-        lineno = None
-
-    try:
-        return build_graph(n, edges())
-    except GraphError as exc:
-        if lineno is None:
-            raise
-        raise GraphError(f"line {lineno}: {exc}") from None
-
-
-def _require_connected(g: Graph, what: str) -> None:
-    if not g.is_connected():
+def _connected(n: int, weights: dict, what: str) -> Graph:
+    """The graph of _checked_edges' output if connected. An input with
+    fewer than n - 1 edges fails before the O(n) allocation."""
+    if n - 1 > len(weights) or not (g := _assemble(n, weights)).is_connected():
         raise GraphError(f"{what} is not connected")
+    return g
 
 
 def generate_grid(rows: int, cols: int) -> Graph:

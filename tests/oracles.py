@@ -187,29 +187,15 @@ def heap_kernel(n: int, edges: list, sources: list, watch=None) -> tuple:
     return dist, owner, parent
 
 
-def lemb_v1_bytes(e) -> bytes:
-    """The LEMB version 1 file of an embedding, as save_embedding wrote it
-    before version 2: a 24-byte header (magic, version 1, kind, 2 pad
-    bytes, |V| and |L| as u64), then the landmark ids, the full table or
-    the owners and owner distances, then the landmark matrix, with every
-    index a u64 and every distance an f64, all little-endian. Kept so
-    that tests can pin that version 1 files still load."""
-    return _lemb_file(e, 1, "Qdd" if hasattr(e, "table") else "QQdd")
-
-
-def lemb_v2_bytes(e, codes: str) -> bytes:
-    """The LEMB version 2 file of an embedding with the given struct code
-    per section: a 24-byte header as in version 1, one code byte per
-    section, then the sections at those codes, the matrix in full. Such
-    files came from the writer before version 3, and, with eighths at f
-    (f32), from the one before the f16 code. Kept so that tests can pin
-    that such files still load."""
-    return _lemb_file(e, 2, codes)
-
-
-def _lemb_file(e, version: int, codes: str) -> bytes:
-    """Header, in version 2 one code byte per section, then the sections
-    at codes; an int code takes integral floats such as 3.0 as ints."""
+def lemb_file(e, codes: str) -> bytes:
+    """The LEMB file of an embedding with the given struct code per
+    section, every scale 0 and the landmark matrix in full (form 0), where
+    save_embedding would pick codes, scales and form by the values: a
+    24-byte header (magic, version 3, kind, form 0, a pad byte, |V| and |L|
+    as u64), one code byte and then one scale byte per section, then the
+    sections at those codes, all little-endian. An int code takes integral
+    floats such as 3.0 as ints. Tests corrupt such files at fixed
+    offsets."""
     ids = [e.landmarks.ids]
     if hasattr(e, "table"):
         kind, nv = 1, len(e.table[0])
@@ -217,9 +203,8 @@ def _lemb_file(e, version: int, codes: str) -> bytes:
     else:
         kind, nv = 2, len(e.owner)
         sections = [ids, [e.owner], [e.dist_to_owner], e.lmatrix]
-    out = [struct.pack("<4sBB2xQQ", b"LEMB", version, kind, nv, len(ids[0]))]
-    if version == 2:
-        out.append(codes.encode("ascii"))
+    out = [struct.pack("<4sBBBxQQ", b"LEMB", 3, kind, 0, nv, len(ids[0])),
+           codes.encode("ascii"), bytes(len(codes))]
     for code, rows in zip(codes, sections):
         if code in "BHIQ":
             rows = [list(map(int, row)) for row in rows]

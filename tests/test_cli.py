@@ -171,17 +171,17 @@ class TestPreprocess:
             "but there are only 2 landmarks\n"
 
 
-    # A version 1 file, whose f64 sections can hold what a corrupt file
-    # holds: header 24 bytes, two u64 landmark ids, six u64 owners, then
-    # six f64 owner distances
+    # A file at the widest codes, whose f64 sections can hold what a
+    # corrupt file holds: header 24 bytes, 4 code and 4 scale bytes, two
+    # u64 landmark ids, six u64 owners, then six f64 owner distances
     @pytest.mark.parametrize("at, patch, message", [
-        (168, b"garbage", "embedding file has 7 bytes after the payload"),
-        (88, struct.pack("<d", math.nan),
+        (176, b"garbage", "embedding file has 7 bytes after the payload"),
+        (96, struct.pack("<d", math.nan),
          "embedding file has a NaN or negative value in the owner distances"),
-        (96, struct.pack("<d", math.inf),
+        (104, struct.pack("<d", math.inf),
          "vertex 1 has an infinite owner distance"),
-        # then the 2 x 2 landmark matrix at 136
-        (144, struct.pack("<d", 0.0), "embedding file has a 0 off the "
+        # then the 2 x 2 landmark matrix at 144
+        (152, struct.pack("<d", 0.0), "embedding file has a 0 off the "
          "diagonal of the landmark matrix, at (0,1)"),
     ], ids=["bytes-after-payload", "nan-distance", "inf-owner-distance",
             "zero-between-landmarks"])
@@ -190,7 +190,8 @@ class TestPreprocess:
         emb = tmp_path / "p6.lemb"
         run(capsys, "preprocess", "--graph", p6_file, "--method", "alp",
             "--landmarks", "2", "--out", str(emb))
-        data = oracles.lemb_v1_bytes(load_embedding(io.BytesIO(emb.read_bytes())))
+        e = load_embedding(io.BytesIO(emb.read_bytes()))
+        data = oracles.lemb_file(e, "QQdd")
         emb.write_bytes(data[:at] + patch + data[at + 8:])
         code, out, err = run(capsys, "query", "--graph", p6_file,
                              "--method", "alp", "--embedding", str(emb),
@@ -213,6 +214,23 @@ class TestPreprocess:
         assert (code, out) == (1, "")
         assert err == "error: embedding file has code 'f' for the owner " \
             "indices, expected one of 'BHIQ'\n"
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_embedding_from_an_older_version(self, p6_file, tmp_path, capsys,
+                                             version):
+        emb = tmp_path / "p6.lemb"
+        run(capsys, "preprocess", "--graph", p6_file, "--method", "alp",
+            "--landmarks", "2", "--out", str(emb))
+        data = bytearray(emb.read_bytes())
+        data[4] = version  # the version byte
+        emb.write_bytes(bytes(data))
+        code, out, err = run(capsys, "query", "--graph", p6_file,
+                             "--method", "alp", "--embedding", str(emb),
+                             "--source", "1", "--target", "4")
+        assert (code, out) == (1, "")
+        assert err == f"error: unsupported embedding version {version}: " \
+            "this build reads only version 3; rerun polyroute preprocess " \
+            "to rewrite the file\n"
 
     def test_embedding_header_counts_beyond_file(self, p6_file, tmp_path,
                                                  capsys):

@@ -265,6 +265,20 @@ def lemb_bytes(e) -> bytes:
     return buf.getvalue()
 
 
+def wide_file(e) -> bytes:
+    """e's file with every index at Q and every distance at d, codes that
+    hold every value a load accepts, and the matrix in full."""
+    return oracles.lemb_file(
+        e, "Qdd" if isinstance(e, AltEmbedding) else "QQdd")
+
+
+def lemb_header(kind: int, nv: int, k: int, codes: bytes) -> bytes:
+    """A header declaring nv vertices and k landmarks, the matrix in full,
+    codes and a 0 scale byte for each."""
+    return (struct.pack("<4sBBBxQQ", b"LEMB", 3, kind, 0, nv, k) + codes
+            + bytes(len(codes)))
+
+
 class Trickle(io.RawIOBase):
     """A stream that cannot seek and returns at most 5 bytes per read, as
     a raw stream may return fewer bytes than asked for."""
@@ -643,58 +657,71 @@ class TestSerialization:
 
     def test_truncated_payload(self, p6):
         e = build_distributed_embedding(p6, LandmarkSet((0, 5)))
-        data = oracles.lemb_v1_bytes(e)[:-4]
+        data = lemb_bytes(e)[:-4]
         with pytest.raises(ValueError, match="truncated"):
             load_embedding(io.BytesIO(data))
 
     def test_owner_index_beyond_landmarks(self, p6):
         e = build_distributed_embedding(p6, LandmarkSet((0, 5)))
-        data = bytearray(oracles.lemb_v1_bytes(e))
-        # version 1: header 24 bytes, two u64 landmark ids, then one u64
-        # owner per vertex
-        data[48:56] = struct.pack("<Q", 7)
+        data = bytearray(wide_file(e))
+        # header 24 bytes, 4 code and 4 scale bytes, two u64 landmark ids,
+        # then one u64 owner per vertex
+        data[56:64] = struct.pack("<Q", 7)
         with pytest.raises(ValueError, match="vertex 1 has owner index 7"):
             load_embedding(io.BytesIO(bytes(data)))
 
     @pytest.mark.parametrize("kind", [1, 2])
     @pytest.mark.parametrize("nv, k", [(6, 2**61), (2**61, 2)])
     def test_header_counts_beyond_file(self, kind, nv, k):
-        data = struct.pack("<4sBB2xQQ", b"LEMB", 1, kind, nv, k) + bytes(200)
+        codes = b"Qdd" if kind == 1 else b"QQdd"
+        data = lemb_header(kind, nv, k, codes) + bytes(200)
         with pytest.raises(ValueError, match=f"declares {nv} vertices and {k}"):
             load_embedding(io.BytesIO(data))
 
     @pytest.mark.parametrize("kind", [1, 2])
     @pytest.mark.parametrize("nv, k", [(6, 2**61), (2**40, 2)])
     def test_header_counts_beyond_pipe(self, kind, nv, k):
-        data = struct.pack("<4sBB2xQQQQ", b"LEMB", 1, kind, nv, k, 0, 1)
+        codes = b"Qdd" if kind == 1 else b"QQdd"
+        data = lemb_header(kind, nv, k, codes) + struct.pack("<QQ", 0, 1)
         data += bytes(200)
         with pipe_of(data) as stream:
             assert not stream.seekable()
             with pytest.raises(ValueError, match="truncated in payload"):
                 load_embedding(stream)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_cut_in_header_counts(self, p6, version):
-        e = build_distributed_embedding(p6, LandmarkSet((0, 5)))
-        data = {1: oracles.lemb_v1_bytes(e),
-                2: oracles.lemb_v2_bytes(e, "BBBB"),
-                3: lemb_bytes(e)}[version]
+    @pytest.mark.parametrize("which", range(6))
+    def test_cut_in_header_counts(self, which):
+        data = lemb_bytes(TestLembV3().golden()[which])
         for cut in range(8, 24):
             for stream in (io.BytesIO(data[:cut]), pipe_of(data[:cut])):
                 with stream, pytest.raises(
                         ValueError, match="^embedding file truncated in header$"):
                     load_embedding(stream)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_unknown_kind_fails_before_counts(self, version):
-        head = struct.pack("<4sBB2x", b"LEMB", version, 9)
+    # the kind is checked before the matrix form, known (0, 1) or not
+    @pytest.mark.parametrize("form", range(4))
+    def test_unknown_kind_fails_before_counts(self, form):
+        head = struct.pack("<4sBBBx", b"LEMB", 3, 9, form)
         with pytest.raises(ValueError, match="^unknown embedding kind 9$"):
             load_embedding(io.BytesIO(head))
+
+    # a build reads the one version it writes, 3
+    @pytest.mark.parametrize("version", [0, 1, 2, 4, 255])
+    def test_other_version_fails(self, p6, version):
+        data = bytearray(lemb_bytes(build_distributed_embedding(
+            p6, LandmarkSet((0, 5)))))
+        data[4] = version
+        for stream in (io.BytesIO(bytes(data)), io.BytesIO(bytes(data[:8]))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"unsupported embedding version {version}: this build "
+                    "reads only version 3; rerun polyroute preprocess to "
+                    "rewrite the file")):
+                load_embedding(stream)
 
     def test_short_reads(self, p6):
         for e in (build_alt_embedding(p6, LandmarkSet((0, 5))),
                   build_distributed_embedding(p6, LandmarkSet((0, 5)))):
-            for data in (lemb_bytes(e), oracles.lemb_v1_bytes(e)):
+            for data in (lemb_bytes(e), wide_file(e)):
                 assert load_embedding(Trickle(data)) == e
 
     def test_deterministic_bytes(self, grid3):
@@ -761,15 +788,11 @@ def stored_fields(e):
 def assert_types_follow_codes(back, data: bytes) -> None:
     """Every value of back, the load of data, has the type its section's
     code sets: an int at an int code with scale 0, a float at a float code
-    or a nonzero scale. Version 1 stores indices as Q and distances as d.
-    A triangle's diagonal, which no file stores, is an int 0."""
-    version, triangle = data[4], data[4] == 3 and data[6] == 1
+    or a nonzero scale. A triangle's diagonal, which no file stores, is an
+    int 0."""
+    triangle, codes, scales = header_codes(data, len(sections(back)))
     got = v3_sections(back) if triangle else sections(back)
-    n = len(got)
-    codes = (data[24:24 + n].decode() if version > 1
-             else ["d" if distance else "Q" for _, distance in got])
-    scales = data[24 + n:24 + 2 * n] if version == 3 else bytes(n)
-    for (values, _), code, scale in zip(got, codes, scales):
+    for (values, _), code, scale in zip(got, codes.decode(), scales):
         want = int if code in "BHIQ" and not scale else float
         assert {type(x) for x in values} <= {want}, (code, scale)
     if triangle:
@@ -789,9 +812,10 @@ def assert_loads(e, *files: bytes) -> None:
 
 
 class TestLembLayout:
-    """The version 1 bytes that load_embedding must keep reading, and the
-    values and refusals it must keep. The files come from the version 1
-    writer in oracles, so the offsets below are version 1's."""
+    """The values and refusals load_embedding must keep, on the golden
+    embeddings' wide files. Each offset below counts the 24-byte header
+    and the payload; the code and scale bytes, 6 in the full file and 8
+    in the distributed one, shift it (see corrupt)."""
 
     def golden(self):
         alt = build_alt_embedding(
@@ -806,20 +830,17 @@ class TestLembLayout:
         assert alp.dist_to_owner == [0, 1, 1.125, 3.125, 3, 0]
         return alt, alp
 
-    def test_golden_bytes(self):
-        alt, alp = self.golden()
-        a, d = oracles.lemb_v1_bytes(alt), oracles.lemb_v1_bytes(alp)
-        assert (len(a), hashlib.sha256(a).hexdigest()) == (
-            152, "6baa74220b1ab5067a36a73372d59a333fd4ec065fd7f901f1c72f993ec4ece7")
-        assert (len(d), hashlib.sha256(d).hexdigest()) == (
-            168, "140d38642f732cf57e7affa8cb1a1b5511610709c542f892b2d8039a34736241")
-        assert_loads(alt, a)
-        assert_loads(alp, d)
+    def corrupt(self, which: int, at: int, new: bytes) -> bytes:
+        """golden()[which]'s wide file with new written at offset at."""
+        e = self.golden()[which]
+        at += 2 * len(sections(e))
+        data = wide_file(e)
+        return data[:at] + new + data[at + len(new):]
 
     @settings(deadline=None, max_examples=150)
     @given(lemb_embeddings())
     def test_round_trip_keeps_values_and_bytes(self, e):
-        assert_loads(e, lemb_bytes(e), oracles.lemb_v1_bytes(e))
+        assert_loads(e, lemb_bytes(e), wide_file(e))
 
     @pytest.mark.parametrize("bad", [math.nan, -3.0, -math.inf, -0.0])
     @pytest.mark.parametrize("which, name, start, count", [
@@ -831,9 +852,8 @@ class TestLembLayout:
     def test_nan_or_negative_distance_fails(self, which, name, start, count,
                                             bad):
         # sections at byte offsets: header 24, landmark ids 16, owners 48
-        data = oracles.lemb_v1_bytes(self.golden()[which])
         for at in (start, start + 8 * (count - 1)):
-            corrupt = data[:at] + struct.pack("<d", bad) + data[at + 8:]
+            corrupt = self.corrupt(which, at, struct.pack("<d", bad))
             with pytest.raises(
                 ValueError, match=f"^embedding file has a NaN or negative "
                 f"value in the {name}$"
@@ -846,8 +866,7 @@ class TestLembLayout:
         (0, 128, "(0,1)"), (0, 136, "(1,0)"), (1, 144, "(0,1)"), (1, 152, "(1,0)"),
     ])
     def test_zero_between_distinct_landmarks_fails(self, which, at, entry):
-        data = oracles.lemb_v1_bytes(self.golden()[which])
-        corrupt = data[:at] + struct.pack("<d", 0.0) + data[at + 8:]
+        corrupt = self.corrupt(which, at, struct.pack("<d", 0.0))
         with pytest.raises(ValueError, match=re.escape(
                 "embedding file has a 0 off the diagonal of the landmark "
                 f"matrix, at {entry}")):
@@ -860,9 +879,9 @@ class TestLembLayout:
         (0, 120, 0), (0, 144, 1), (1, 136, 0), (1, 160, 1),
     ])
     def test_nonzero_diagonal_fails(self, which, at, i, bad):
-        data = oracles.lemb_v1_bytes(self.golden()[which])
-        assert struct.unpack_from("<d", data, at) == (0.0,)
-        corrupt = data[:at] + struct.pack("<d", bad) + data[at + 8:]
+        zero = struct.pack("<d", 0.0)
+        assert self.corrupt(which, at, zero) == wide_file(self.golden()[which])
+        corrupt = self.corrupt(which, at, struct.pack("<d", bad))
         with pytest.raises(ValueError, match=re.escape(
                 "embedding file has a nonzero diagonal entry of the "
                 f"landmark matrix, at ({i},{i})")):
@@ -870,16 +889,14 @@ class TestLembLayout:
 
     @pytest.mark.parametrize("v", range(6))
     def test_infinite_owner_distance_fails(self, v):
-        data = oracles.lemb_v1_bytes(self.golden()[1])
-        at = 88 + 8 * v
-        corrupt = data[:at] + struct.pack("<d", math.inf) + data[at + 8:]
+        corrupt = self.corrupt(1, 88 + 8 * v, struct.pack("<d", math.inf))
         with pytest.raises(ValueError, match=f"^vertex {v} has an infinite "
                            "owner distance$"):
             load_embedding(io.BytesIO(corrupt))
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_bytes_after_payload_fail(self, which):
-        data = oracles.lemb_v1_bytes(self.golden()[which])
+        data = wide_file(self.golden()[which])
         for extra in (b"garbage", data):
             with pytest.raises(ValueError, match=f"^embedding file has "
                                f"{len(extra)} bytes after the payload$"):
@@ -893,16 +910,14 @@ class TestLembLayout:
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_every_truncation_fails(self, which):
-        assert_cuts_labelled(oracles.lemb_v1_bytes(self.golden()[which]), 24)
-
-
-def v2_header(kind, nv, k, codes):
-    return struct.pack("<4sBB2xQQ", b"LEMB", 2, kind, nv, k) + codes
+        e = self.golden()[which]
+        assert_cuts_labelled(wide_file(e), 24 + 2 * len(sections(e)))
 
 
 def narrowest_code(values, distance):
-    """The code version 2 must give one section, decided value by value;
-    version 3 keeps it as the section's float code."""
+    """The narrowest code that holds each of one section's values, with
+    no scale, decided value by value; save_embedding writes it unless a
+    fixed-point code is narrower (fixed_point_code)."""
     def uint(x):
         return (math.isfinite(x) and x == int(x) and 0 <= x < 2**64
                 and math.copysign(1, x) > 0)
@@ -923,10 +938,10 @@ def narrowest_code(values, distance):
 
 
 def fixed_point_code(values, float_code):
-    """(code, scale) version 3 must give a distance section whose version 2
-    code is float_code, or None: each value a finite binary fraction, not
-    negative, stored as x * 2**s at the smallest s, at an int code strictly
-    narrower than float_code."""
+    """(code, scale) save_embedding must give a distance section whose
+    narrowest_code is float_code, or None: each value a finite binary
+    fraction, not negative, stored as x * 2**s at the smallest s, at an
+    int code strictly narrower than float_code."""
     if float_code in "BHIQ" or not all(
             math.isfinite(x) and math.copysign(1, x) > 0 for x in values):
         return None
@@ -1053,15 +1068,17 @@ def header_codes(data: bytes, count: int) -> tuple:
     return data[6], data[24:24 + count], data[24 + count:24 + 2 * count]
 
 
-# The codes the version 2 writer gave TestLembV2.golden()'s embeddings.
+# The codes narrowest_code gives TestLembV2.golden()'s embeddings.
 GOLDEN_V2_CODES = ("Bee", "BBee", "IBQd", "HHB")
 
 
 class TestLembV2:
-    """The code rule of version 2, which version 3 keeps for each section
-    that takes no fixed-point code, and the version 2 files load_embedding
-    must keep reading. files() and previous() come from the version 2
-    writer in oracles, so the offsets below are version 2's."""
+    """The code rule that version 2 brought in, which version 3 keeps for
+    each section that takes no fixed-point code, and the refusals of each
+    code. files() and f_files() hold the golden embeddings at chosen codes,
+    every scale 0 and the matrix in full. Each offset below counts the
+    header and its code bytes; the scale bytes, one per section, shift it
+    (see corrupt)."""
 
     def golden(self):
         alt, alp = TestLembLayout().golden()
@@ -1073,60 +1090,47 @@ class TestLembV2:
         return alt, alp, wide, narrow
 
     def files(self):
-        """The golden embeddings as the version 2 writer wrote them."""
-        return [oracles.lemb_v2_bytes(e, codes)
+        """The golden embeddings, each section at its narrowest_code."""
+        return [oracles.lemb_file(e, codes)
                 for e, codes in zip(self.golden(), GOLDEN_V2_CODES)]
 
-    def previous(self):
-        """The golden full and distributed files as a writer without f16
-        codes wrote them, with the eighths at f (f32)."""
+    def f_files(self):
+        """The golden full and distributed files with the eighths at f
+        (f32)."""
         alt, alp = self.golden()[:2]
-        return (oracles.lemb_v2_bytes(alt, "Bff"),
-                oracles.lemb_v2_bytes(alp, "BBff"))
+        return oracles.lemb_file(alt, "Bff"), oracles.lemb_file(alp, "BBff")
+
+    def corrupt(self, data: bytes, which: int, at: int, new: bytes) -> bytes:
+        """data, golden()[which]'s file, with new written at offset at."""
+        at += len(sections(self.golden()[which]))
+        return data[:at] + new + data[at + len(new):]
 
     def test_golden_bytes(self):
-        # the bytes save_embedding wrote up to version 2, pinned as files
-        got = self.files()
-        assert [(len(d), d[24:28], hashlib.sha256(d).hexdigest())
-                for d in got] == [
-            (57, b"Bee\x00",
-             "c72a68e02becd2b2462bef8a83e1d41cd6d94ff14da3eabcdf09da11886b6418"),
-            (56, b"BBee",
-             "9913722a21909744ab3b2f8a5b2914a550eaa47b7560f6c5e7d0e63ab20d09b4"),
-            (95, b"IBQd",
-             "835320b5d10efc1ecd4a83e897d51ac0a9e3b074615c8cbcc8d332235e49514c"),
-            (36, b"HHB,",
-             "1f459e9eb323635fa3b5619dc06e0ea723127ad97d72c7a08f02557853c9da43"),
-        ]
+        # the rule's codes, and the files the tests below corrupt
         assert list(GOLDEN_V2_CODES) == [
             "".join(narrowest_code(values, distance)
                     for values, distance in sections(e))
             for e in self.golden()]
+        assert [(len(d), header_codes(d, len(codes)))
+                for d, codes in zip(self.files(), GOLDEN_V2_CODES)] == [
+            (60, (0, b"Bee", bytes(3))), (60, (0, b"BBee", bytes(4))),
+            (99, (0, b"IBQd", bytes(4))), (39, (0, b"HHB", bytes(3))),
+        ]
 
     def test_golden_values(self):
-        for e, old in zip(self.golden(), self.files()):
-            assert_loads(e, old, oracles.lemb_v1_bytes(e))
+        for e, data in zip(self.golden(), self.files()):
+            assert_loads(e, data, wide_file(e))
         # 7.0 was written at H, so it loads as an int
         assert repr(load_embedding(io.BytesIO(self.files()[3])).table) \
             == "[[0, 300, 7]]"
 
-    def test_previous_writer_files_load(self):
-        assert [(len(d), hashlib.sha256(d).hexdigest())
-                for d in self.previous()] == [
-            (85, "125fd6ab377c89d44501fb70291f9d8d2f814f525eef772909cf3e4c4548901d"),
-            (76, "223fd002cdba9d1dde71fa386f10b35a6a12946bf676c9df8bdc7230371c92ba"),
-        ]
-        for e, old in zip(self.golden(), self.previous()):
-            assert_loads(e, old, lemb_bytes(e))
-
     @settings(deadline=None, max_examples=200)
     @given(mixed_embeddings())
     def test_codes_follow_values(self, e):
-        # the file the version 2 writer wrote: each section at narrowest_code
+        # a file with each section at its narrowest_code
         codes = "".join(narrowest_code(values, distance)
                         for values, distance in sections(e))
-        assert_loads(e, oracles.lemb_v2_bytes(e, codes),
-                     oracles.lemb_v1_bytes(e))
+        assert_loads(e, oracles.lemb_file(e, codes), wide_file(e))
 
     @pytest.mark.parametrize("build", [build_alt_embedding,
                                        build_distributed_embedding])
@@ -1141,7 +1145,7 @@ class TestLembV2:
                                        build_distributed_embedding])
     def test_built_eighths_past_2048_stay_f(self, build):
         # f16 holds no odd eighth above 256 and no fraction above 1,024, so
-        # each distance section's version 2 code is f; version 3 writes the
+        # each distance section's narrowest_code is f; version 3 writes the
         # eighths as u16 at scale 3 instead, narrower than f
         g = reweighted(generate_grid(10, 10), lambda rng: 300 + eighths(rng), 1)
         e = build(g, select_farthest(g, 4, 1))
@@ -1152,7 +1156,7 @@ class TestLembV2:
         n = len(codes)
         assert header_codes(data, n)[1:] == (
             codes[:-2].encode() + b"HH", bytes(n - 2) + b"\x03\x03")
-        assert_loads(e, data, oracles.lemb_v2_bytes(e, codes))
+        assert_loads(e, data, oracles.lemb_file(e, codes))
 
     @pytest.mark.parametrize("top, code", [
         (255, "B"), (255.0, "B"), (256, "H"), (2**16 - 1, "H"), (2**16, "I"),
@@ -1164,7 +1168,7 @@ class TestLembV2:
         (2.0**-150 * 3, "d"), (2.0**128, "d"), (2**128 + 2**76, "d"),
     ])
     def test_distance_code_boundaries(self, top, code):
-        # code is the version 2 code; version 3 writes it unless a
+        # code is narrowest_code's; version 3 writes it unless a
         # fixed-point code is narrower (TestLembV3 pins those by value)
         e = AltEmbedding(LandmarkSet((0, 1)), [[0, top], [top, 0]],
                          [[0, 1], [1, 0]])
@@ -1173,8 +1177,7 @@ class TestLembV2:
         data = lemb_bytes(e)
         assert header_codes(data, 3) == (1, f"B{code3}B".encode(),
                                          bytes([0, scale, 0]))
-        assert_loads(e, data, oracles.lemb_v2_bytes(e, f"B{code}B"),
-                     oracles.lemb_v1_bytes(e))
+        assert_loads(e, data, oracles.lemb_file(e, f"B{code}B"), wide_file(e))
 
     @pytest.mark.parametrize("other, code", [(0.5, "e"), (2047.5, "f"),
                                              (0.1, "d")])
@@ -1222,7 +1225,7 @@ class TestLembV2:
                                  [0, bad, 3.0], [[0, 5], [5, 0]])
         data = lemb_bytes(e)
         assert data[24:28] == b"BBdB"
-        for saved in (data, oracles.lemb_v1_bytes(e)):
+        for saved in (data, wide_file(e)):
             with pytest.raises(ValueError, match="^embedding file has a NaN "
                                "or negative value in the owner distances$"):
                 load_embedding(io.BytesIO(saved))
@@ -1238,9 +1241,9 @@ class TestLembV2:
     ])
     def test_nan_or_negative_in_f_section_fails(self, which, name, start,
                                                 count, bad):
-        data = self.previous()[which]
+        data = self.f_files()[which]
         for at in (start, start + 4 * (count - 1)):
-            corrupt = data[:at] + struct.pack("<f", bad) + data[at + 4:]
+            corrupt = self.corrupt(data, which, at, struct.pack("<f", bad))
             with pytest.raises(
                 ValueError, match=f"^embedding file has a NaN or negative "
                 f"value in the {name}$"
@@ -1254,17 +1257,16 @@ class TestLembV2:
         (0, 69, 2.5, "a nonzero diagonal entry of the landmark matrix, at (0,0)"),
     ])
     def test_matrix_refusals_in_f_section(self, which, at, value, refusal):
-        data = self.previous()[which]
-        corrupt = data[:at] + struct.pack("<f", value) + data[at + 4:]
+        corrupt = self.corrupt(self.f_files()[which], which, at,
+                               struct.pack("<f", value))
         with pytest.raises(ValueError, match=re.escape(
                 f"embedding file has {refusal}")):
             load_embedding(io.BytesIO(corrupt))
 
     @pytest.mark.parametrize("v", range(6))
     def test_infinite_owner_distance_fails(self, v):
-        data = self.previous()[1]
-        at = 36 + 4 * v
-        corrupt = data[:at] + struct.pack("<f", math.inf) + data[at + 4:]
+        corrupt = self.corrupt(self.f_files()[1], 1, 36 + 4 * v,
+                               struct.pack("<f", math.inf))
         with pytest.raises(ValueError, match=f"^vertex {v} has an infinite "
                            "owner distance$"):
             load_embedding(io.BytesIO(corrupt))
@@ -1285,7 +1287,7 @@ class TestLembV2:
                                                 count, bits):
         data = self.files()[which]
         for at in (start, start + 2 * (count - 1)):
-            corrupt = data[:at] + struct.pack("<H", bits) + data[at + 2:]
+            corrupt = self.corrupt(data, which, at, struct.pack("<H", bits))
             with pytest.raises(
                 ValueError, match=f"^embedding file has a NaN or negative "
                 f"value in the {name}$"
@@ -1298,35 +1300,46 @@ class TestLembV2:
         (0, 49, 2.5, "a nonzero diagonal entry of the landmark matrix, at (0,0)"),
     ])
     def test_matrix_refusals_in_e_section(self, which, at, value, refusal):
-        data = self.files()[which]
-        corrupt = data[:at] + struct.pack("<e", value) + data[at + 2:]
+        corrupt = self.corrupt(self.files()[which], which, at,
+                               struct.pack("<e", value))
         with pytest.raises(ValueError, match=re.escape(
                 f"embedding file has {refusal}")):
             load_embedding(io.BytesIO(corrupt))
 
     @pytest.mark.parametrize("v", range(6))
     def test_infinite_distance_in_e_section(self, v):
-        data = self.files()[1]
-        at = 36 + 2 * v
-        corrupt = data[:at] + struct.pack("<H", 0x7C00) + data[at + 2:]
+        inf = struct.pack("<H", 0x7C00)
+        corrupt = self.corrupt(self.files()[1], 1, 36 + 2 * v, inf)
         with pytest.raises(ValueError, match=f"^vertex {v} has an infinite "
                            "owner distance$"):
             load_embedding(io.BytesIO(corrupt))
         # the full table holds inf where a vertex is unreachable
-        full = self.files()[0]
-        at = 29 + 2 * v
         back = load_embedding(io.BytesIO(
-            full[:at] + struct.pack("<H", 0x7C00) + full[at + 2:]))
+            self.corrupt(self.files()[0], 0, 29 + 2 * v, inf)))
         assert back.table[v // 5][v % 5] == math.inf
 
     @pytest.mark.parametrize("v", range(6))
     def test_owner_beyond_landmarks_in_b_section(self, v):
-        data = bytearray(self.files()[1])
+        data = self.files()[1]
         assert data[25:26] == b"B"
-        data[30 + v] = 7
+        data = self.corrupt(data, 1, 30 + v, b"\x07")
         with pytest.raises(ValueError, match=f"^vertex {v} has owner index 7, "
                            "but there are only 2 landmarks$"):
-            load_embedding(io.BytesIO(bytes(data)))
+            load_embedding(io.BytesIO(data))
+
+    # the wider int codes of the owners; B is the test above
+    @pytest.mark.parametrize("code", "HIQ")
+    def test_owner_beyond_landmarks_in_each_int_code(self, code):
+        # the golden distributed file with its owners at code, from byte 34
+        alp = self.golden()[1]
+        data = oracles.lemb_file(alp, f"B{code}ee")
+        width = struct.calcsize(code)
+        for v in range(6):
+            corrupt = self.corrupt(data, 1, 30 + width * v,
+                                   struct.pack("<" + code, 2))
+            with pytest.raises(ValueError, match=f"^vertex {v} has owner "
+                               "index 2, but there are only 2 landmarks$"):
+                load_embedding(io.BytesIO(corrupt))
 
     @pytest.mark.parametrize("which, at, name, code", [
         (1, 24, "landmark ids", b"f"),
@@ -1347,7 +1360,7 @@ class TestLembV2:
     @pytest.mark.parametrize("kind, codes", [(1, b"Bdd"), (2, b"BBdd")])
     @pytest.mark.parametrize("nv, k", [(6, 2**61), (2**61, 2)])
     def test_header_counts_beyond_file(self, kind, codes, nv, k):
-        data = v2_header(kind, nv, k, codes) + bytes(200)
+        data = lemb_header(kind, nv, k, codes) + bytes(200)
         with pytest.raises(ValueError, match=f"declares {nv} vertices and {k}"):
             load_embedding(io.BytesIO(data))
 
@@ -1358,7 +1371,7 @@ class TestLembV2:
     @pytest.mark.parametrize("which", range(4))
     def test_every_truncation_fails(self, which):
         codes = GOLDEN_V2_CODES[which]
-        assert_cuts_labelled(self.files()[which], 24 + len(codes))
+        assert_cuts_labelled(self.files()[which], 24 + 2 * len(codes))
 
 
 class TestLembV3:
@@ -1401,15 +1414,14 @@ class TestLembV3:
         ]
 
     def test_golden_values(self):
-        # a version 1, 2 and 3 file of one embedding load to equal values,
-        # each of the type its code sets, and each re-saves as the version
-        # 3 file
+        # the wide file, the file at narrowest_code and the saved file of
+        # one embedding load to equal values, each of the type its code
+        # sets, and each re-saves as the saved file
         for e in self.golden():
             data = lemb_bytes(e)
             codes = "".join(narrowest_code(values, distance)
                             for values, distance in sections(e))
-            assert_loads(e, oracles.lemb_v1_bytes(e),
-                         oracles.lemb_v2_bytes(e, codes), data)
+            assert_loads(e, wide_file(e), oracles.lemb_file(e, codes), data)
             assert header_codes(data, len(codes)) == v3_codes(e)
 
     def test_triangle_loads_as_independent_rows(self):
@@ -1424,7 +1436,7 @@ class TestLembV3:
     @given(mixed_embeddings())
     def test_rules_follow_values(self, e):
         data = lemb_bytes(e)
-        assert_loads(e, data, oracles.lemb_v1_bytes(e))
+        assert_loads(e, data, wide_file(e))
         # the triangle iff exactly symmetric with a 0 diagonal, and a
         # fixed-point code iff strictly narrower than the float code
         assert header_codes(data, len(sections(e))) == v3_codes(e)
@@ -1458,7 +1470,7 @@ class TestLembV3:
         e = build(g, select_farthest(g, 4, 1))
         data = lemb_bytes(e)
         assert data[6] == form == triangular(e.lmatrix)
-        assert_loads(e, data, oracles.lemb_v1_bytes(e))
+        assert_loads(e, data, wide_file(e))
 
     @pytest.mark.parametrize("row, code, scale", [
         ([0, 2.0, 3.0], "B", 0), ([0, 0.5, 1.0], "B", 1),

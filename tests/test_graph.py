@@ -3,6 +3,7 @@
 import io
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -423,6 +424,59 @@ class TestTextPins:
         path.write_bytes(text.encode("ascii"))
         expected = (from_file or loaded).replace("{path}", str(path))
         assert self.outcome(load_graph_file, str(path)) == expected
+
+
+class TestVertexCountMemory:
+    """n vertices need n - 1 edges to be connected, so a loader refuses a
+    file with fewer before it spends memory on its vertex count, and after
+    every other error the file has."""
+
+    @pytest.mark.parametrize("load, text, what", [
+        (load_dimacs, "p sp 1000000 0\n", "DIMACS"),
+        (load_edge_list, "1000000\n", "edge-list"),
+    ], ids=["dimacs", "edge-list"])
+    def test_too_few_edges_fail_in_little_memory(self, load, text, what):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError,
+                               match=f"^{what} input is not connected$"):
+                load(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("load, text, message", [
+        (load_edge_list, "1000000\n0 0\n", "line 2: self-loop at vertex 0"),
+        (load_edge_list, "1000000\n0 1 1e308\n1 2 1e308\n",
+         "float weights with least 1e+308 and total inf: a double path sum "
+         "could absorb a weight or overflow"),
+        (load_dimacs, "p sp 1000000 2\na 1 2 1\n",
+         "problem line declares 2 arcs, body has 1"),
+        (load_dimacs, "p sp 1000000 2\na 1 2 9007199254740992\na 2 3 0.5\n",
+         "edge (0,1) has int weight 9007199254740992 >= 2**53 in a graph "
+         "with float weights; doubles cannot sum it exactly"),
+    ], ids=["self-loop", "absorb", "arc-count", "huge-int"])
+    def test_other_errors_come_first(self, load, text, message):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            load(text)
+
+    @pytest.mark.parametrize("load, text", [
+        (load_dimacs, "p sp 4 6\na 1 2 1\na 2 1 1\na 2 3 1\na 3 2 1\n"
+         "a 1 3 1\na 3 1 1\n"),
+        (load_edge_list, "4\n0 1\n1 2\n0 2\n"),
+    ], ids=["dimacs", "edge-list"])
+    def test_enough_edges_still_need_connecting(self, load, text):
+        with pytest.raises(GraphError, match="input is not connected$"):
+            load(text)
+
+    @pytest.mark.parametrize("load, text, n", [
+        (load_dimacs, "p sp 1 0\n", 1), (load_dimacs, "p sp 0 0\n", 0),
+        (load_edge_list, "0\n", 0), (load_edge_list, "1\n", 1),
+    ])
+    def test_no_edges_load_up_to_one_vertex(self, load, text, n):
+        g = load(text)
+        assert (g.vertex_count, g.edge_count) == (n, 0)
 
 
 class TestGenerateGrid:

@@ -416,3 +416,45 @@ def test_readme_commands_parse():
     commands = sh_commands((ROOT / "README.md").read_text())
     assert commands
     assert unparsed_commands(commands) == []
+
+
+def named_versions(text: str) -> list:
+    """Each version number text names, as in "version 3", "versions 1 and
+    2" or "versions 1-3", in order."""
+    numbers = []
+    for run in re.findall(r"\bversions? (\d+(?:(?:, | and | or |-)\d+)*)",
+                          text, re.I):
+        numbers += map(int, re.findall(r"\d+", run))
+    return numbers
+
+
+def refused_versions(versions) -> list:
+    """Each of versions whose files load_embedding refuses: a saved file
+    with that version byte fails as unsupported."""
+    g = polyroute.generate_grid(1, 3)
+    data = bytearray(_lemb(polyroute.build_distributed_embedding(
+        g, polyroute.LandmarkSet((0,)))))
+    refused = []
+    for version in versions:
+        data[4] = version
+        try:
+            polyroute.load_embedding(io.BytesIO(bytes(data)))
+        except ValueError as exc:
+            if str(exc).startswith("unsupported embedding version"):
+                refused.append(version)
+    return refused
+
+
+def test_version_check_flags_refused_versions():
+    text = ("Versions 1 and 2 still load. Version 3 adds scales; versions "
+            "2-4 and the version byte.")
+    assert named_versions(text) == [1, 2, 3, 2, 4]
+    assert refused_versions(named_versions(text)) == [1, 2, 2, 4]
+
+
+def test_readme_names_only_versions_that_load():
+    """README describes the LEMB version load_embedding reads; a version it
+    refuses, named there, would be a format the docs still promise."""
+    versions = named_versions((ROOT / "README.md").read_text())
+    assert 3 in versions
+    assert refused_versions(versions) == []
